@@ -29,12 +29,11 @@ from .ranking import (
     RankedCompletion,
     ScoreTraces,
     build_allowed_set,
-    compare,
     rank,
     ranking_record,
     record_step,
 )
-from .tree import CompletionTree, TreeNode, build_tree, unique_candidate, valid_continuations
+from .tree import CompletionTree, TreeNode, build_tree, unique_candidate
 from .vocab import (
     SubtokenMap,
     TokenSeq,

@@ -21,6 +21,7 @@ import hashlib
 import json
 import random
 import struct
+import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -259,18 +260,23 @@ class SeededBackend(ModelBackend):
 
 
 class CountingBackend(ModelBackend):
-    """Wrapper counting forward passes; used by the harness and the tests."""
+    """Session wrapper counting forward passes and stamping the first response.
+
+    ``first_response`` is the ``time.monotonic()`` instant the first call
+    returned, the start of the harness's ranking time.
+    """
 
     def __init__(self, inner: ModelBackend):
         self.inner = inner
         self.calls = 0
-
-    def raw_distribution(self, context: Sequence[int]) -> dict[int, float]:
-        raise NotImplementedError  # all traffic goes through next_distribution
+        self.first_response: float | None = None
 
     def next_distribution(self, context, allowed=None, query=None) -> Distribution:
         self.calls += 1
-        return self.inner.next_distribution(context, allowed, query)
+        result = self.inner.next_distribution(context, allowed, query)
+        if self.first_response is None:
+            self.first_response = time.monotonic()
+        return result
 
-    def session(self) -> "ModelBackend":
+    def session(self) -> "CountingBackend":
         return CountingBackend(self.inner.session())

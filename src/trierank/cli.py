@@ -2,9 +2,14 @@
 
 Commands: ``rank`` (one completion point), ``eval`` (dataset report),
 ``stats`` (tree-manipulation statistics), ``compare`` (diff two reports).
-Exit codes are stable: 0 success, 2 configuration error, 3 backend error.
-Configuration precedence: command-line flags > ``--config`` JSON file >
-defaults.
+``rank`` and ``eval`` run strategies through the harness's registry
+(:func:`trierank.evaluate.strategy_adapter`), and ``eval`` and ``stats``
+make one :func:`trierank.evaluate.evaluate` call.
+
+Exit codes are stable: 0 success, 2 configuration error, 3 backend error
+(including an ``eval`` where some strategy aborted). Configuration
+precedence: command-line flags > ``--config`` JSON file > the library's
+defaults (:class:`EvalConfig`, :class:`DecodeConfig`).
 """
 
 from __future__ import annotations
@@ -12,23 +17,22 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .backend import ModelBackend, SeededBackend, mock_backend_from_spec
-from .dataset import load_dataset
-from .errors import BackendUnavailable, ContextTooLong, EmptyInput, TrierankError
+from .dataset import CompletionPoint, LoadedDataset, load_dataset
+from .errors import BackendUnavailable, ContextTooLong, TrierankError
 from .evaluate import (
-    BASE_STRATEGIES,
     EvalConfig,
-    UnknownStrategy,
+    StrategyContext,
     evaluate,
     strategy_adapter,
     tree_statistics,
 )
 from .ranking import DecodeConfig, ranking_record
 from .remote import RemoteBackend
-from .vocab import Vocabulary, greedy_tokenize
+from .vocab import Vocabulary, boundary_merged, full_subtoken_map
 
 EXIT_OK, EXIT_CONFIG, EXIT_BACKEND = 0, 2, 3
 
@@ -39,94 +43,68 @@ class ConfigError(TrierankError):
 
 @dataclass
 class RunConfig:
-    backend_spec: str | None = None
-    vocab_path: str | None = None
-    strategies: list[str] = field(default_factory=lambda: ["treeranker"])
-    alpha: float = 1.0
-    max_steps: int = 16
-    constrained: bool = True
-    early_stop: bool = True
-    runs: int = 1
-    first_token_ms: float = 75.0
-    jobs: int = 1
-    out: str | None = None
-    include_timing: bool = True
-
-    def decode_config(self) -> DecodeConfig:
-        return DecodeConfig(
-            constrained=self.constrained, early_stop=self.early_stop, max_steps=self.max_steps
-        )
-
-    def eval_config(self) -> EvalConfig:
-        return EvalConfig(
-            decode=self.decode_config(),
-            alpha=self.alpha,
-            runs=self.runs,
-            first_token_ms=self.first_token_ms,
-            jobs=self.jobs,
-        )
+    backend_spec: str | None
+    vocab_path: str | None
+    strategies: list[str]
+    out: str | None
+    include_timing: bool
+    eval: EvalConfig
 
 
-_FILE_KEYS = {
-    "backend": "backend_spec",
-    "vocab": "vocab_path",
-    "strategies": "strategies",
-    "alpha": "alpha",
-    "max_steps": "max_steps",
-    "unconstrained": None,  # handled below
-    "no_early_stop": None,
-    "runs": "runs",
-    "first_token_ms": "first_token_ms",
-    "jobs": "jobs",
-    "out": "out",
-    "no_timing": None,
-}
+# Config-file keys; each is also the argparse dest of its flag.
+_FILE_KEYS = (
+    "backend", "vocab", "strategies", "alpha", "max_steps", "unconstrained",
+    "no_early_stop", "runs", "first_token_ms", "jobs", "out", "no_timing",
+)
+
+
+def read_text(path, what: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what}: {exc}") from None
 
 
 def resolve_config(args) -> RunConfig:
-    config = RunConfig()
+    settings: dict = {}
     if args.config:
         try:
-            raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+            raw = json.loads(read_text(args.config, "config file"))
+        except json.JSONDecodeError as exc:
             raise ConfigError(f"cannot read config file {args.config}: {exc}") from None
-        for key, value in raw.items():
+        if not isinstance(raw, dict):
+            raise ConfigError(f"config file {args.config} must hold a JSON object")
+        for key in raw:
             if key not in _FILE_KEYS:
                 raise ConfigError(f"unknown config key {key!r}")
-            if key == "unconstrained":
-                config.constrained = not value
-            elif key == "no_early_stop":
-                config.early_stop = not value
-            elif key == "no_timing":
-                config.include_timing = not value
-            else:
-                setattr(config, _FILE_KEYS[key], value)
-    if args.backend is not None:
-        config.backend_spec = args.backend
-    if args.vocab is not None:
-        config.vocab_path = args.vocab
-    if args.strategy:
-        config.strategies = list(args.strategy)
-    for flag, attr in (
-        ("alpha", "alpha"),
-        ("max_steps", "max_steps"),
-        ("runs", "runs"),
-        ("first_token_ms", "first_token_ms"),
-        ("jobs", "jobs"),
-        ("out", "out"),
-    ):
-        value = getattr(args, flag, None)
-        if value is not None:
-            setattr(config, attr, value)
-    if args.unconstrained:
-        config.constrained = False
-    if args.no_early_stop:
-        config.early_stop = False
-    if args.no_timing:
-        config.include_timing = False
-    if config.runs < 1 or not config.strategies:
-        raise ConfigError("need runs >= 1 and at least one strategy")
-    return config
+        settings.update(raw)
+    settings.update((k, getattr(args, k)) for k in _FILE_KEYS if getattr(args, k) is not None)
+
+    def given(*keys) -> dict:
+        return {k: settings[k] for k in keys if k in settings}
+
+    decode = given("max_steps")
+    if "unconstrained" in settings:
+        decode["constrained"] = not settings["unconstrained"]
+    if "no_early_stop" in settings:
+        decode["early_stop"] = not settings["no_early_stop"]
+    try:
+        eval_config = EvalConfig(
+            decode=DecodeConfig(**decode), **given("alpha", "runs", "first_token_ms", "jobs")
+        )
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from None
+    strategies = list(settings.get("strategies", ["treeranker"]))
+    if not strategies:
+        raise ConfigError("need at least one strategy")
+    return RunConfig(
+        backend_spec=settings.get("backend"),
+        vocab_path=settings.get("vocab"),
+        strategies=strategies,
+        out=settings.get("out"),
+        include_timing=not settings.get("no_timing", False),
+        eval=eval_config,
+    )
 
 
 def load_vocab(config: RunConfig) -> Vocabulary:
@@ -157,9 +135,14 @@ def build_backend(config: RunConfig, vocab: Vocabulary) -> ModelBackend:
     raise ConfigError(f"unknown backend scheme {scheme!r}")
 
 
-def _validate_strategies(names) -> None:
-    for name in names:
-        strategy_adapter(name)  # raises UnknownStrategy
+def load_points(path) -> LoadedDataset:
+    try:
+        dataset = load_dataset(path)
+    except OSError as exc:
+        raise ConfigError(f"cannot read dataset: {exc}") from None
+    if not len(dataset):
+        raise ConfigError(f"dataset {path} has no valid points")
+    return dataset
 
 
 def cmd_rank(args) -> int:
@@ -167,16 +150,14 @@ def cmd_rank(args) -> int:
     if len(config.strategies) != 1:
         raise ConfigError("rank takes exactly one --strategy")
     strategy = config.strategies[0]
-    _validate_strategies([strategy])
+    adapter = strategy_adapter(strategy)
     vocab = load_vocab(config)
     backend = build_backend(config, vocab)
-    prefix_text = Path(args.prefix_file).read_text(encoding="utf-8")
+    prefix_text = read_text(args.prefix_file, "prefix file")
     candidates = list(args.candidates)
     if args.candidates_file:
         candidates += [
-            line
-            for line in Path(args.candidates_file).read_text(encoding="utf-8").splitlines()
-            if line
+            line for line in read_text(args.candidates_file, "candidates file").splitlines() if line
         ]
     deduped: list[str] = []
     seen: set[str] = set()
@@ -188,8 +169,6 @@ def cmd_rank(args) -> int:
         deduped.append(c)
     if not deduped:
         raise ConfigError("no candidates given")
-    from .vocab import boundary_merged
-
     for c in deduped:
         if boundary_merged(prefix_text, c, vocab):
             print(
@@ -198,89 +177,40 @@ def cmd_rank(args) -> int:
                 file=sys.stderr,
             )
 
-    if strategy == "treeranker":
-        from .ranking import rank
-
-        prefix = greedy_tokenize(prefix_text, vocab)
-        ranked, stats = rank(backend.session(), prefix, deduped, vocab, config.decode_config())
-        record = ranking_record(ranked, stats, strategy)
-    else:
-        from .dataset import CompletionPoint
-        from .evaluate import _Context
-        from .vocab import full_subtoken_map
-
-        point = CompletionPoint("cli", prefix_text, deduped, deduped[0])
-        ctx = _Context(vocab, full_subtoken_map(vocab), config.eval_config())
-        result = strategy_adapter(strategy)(point, backend.session(), ctx)
-        record = {
-            "strategy": strategy,
-            "ranking": [
-                {"identifier": ident, "rank": i + 1, "scored_len": None, "last_prob": None}
-                for i, ident in enumerate(result.ranking)
-            ],
-            "stats": {
-                "steps": None,
-                "early_stopped": None,
-                "splits": None,
-                "pushes": None,
-                "off_tree_exit": None,
-            },
-        }
+    point = CompletionPoint("cli", prefix_text, deduped, deduped[0])
+    ctx = StrategyContext(vocab, full_subtoken_map(vocab), config.eval)
+    result = adapter(point, backend.session(), ctx)
+    record = ranking_record(strategy, deduped, result.ranking, result.decode)
     print(json.dumps(record, indent=2, sort_keys=True))
     return EXIT_OK
 
 
 def cmd_eval(args) -> int:
     config = resolve_config(args)
-    _validate_strategies(config.strategies)
     vocab = load_vocab(config)
     backend = build_backend(config, vocab)
-    dataset = load_dataset(args.dataset)
-    if not len(dataset):
-        raise ConfigError(f"dataset {args.dataset} has no valid points")
-
-    warnings = list(dataset.warnings)
-    aborted: list[str] = []
-    combined = None
-    for name in config.strategies:
-        try:
-            report = evaluate([name], dataset, backend, vocab, config.eval_config())
-        except (BackendUnavailable, ContextTooLong) as exc:
-            warnings.append(f"strategy {name} aborted: {exc}")
-            aborted.append(name)
-            continue
-        if combined is None:
-            combined = report
-        else:
-            combined.strategies.update(report.strategies)
-            combined.details.update(report.details)
-    if combined is None:
-        print("all strategies aborted", file=sys.stderr)
-        return EXIT_BACKEND
-    combined.config["strategies"] = [s for s in config.strategies if s not in aborted]
-    combined.warnings = warnings
+    dataset = load_points(args.dataset)
+    report = evaluate(config.strategies, dataset, backend, vocab, config.eval)
 
     out = Path(config.out or "report.json")
-    out.write_text(combined.to_json(config.include_timing) + "\n", encoding="utf-8")
-    table = combined.table()
+    out.write_text(report.to_json(config.include_timing) + "\n", encoding="utf-8")
+    table = report.table()
     out.with_suffix(".txt").write_text(table + "\n", encoding="utf-8")
     print(table)
-    if warnings:
+    if report.warnings:
         print("\nwarnings:")
-        for w in warnings:
+        for w in report.warnings:
             print(f"  {w}")
     print(f"\nreport written to {out}")
-    return EXIT_BACKEND if aborted else EXIT_OK
+    return EXIT_OK if len(report.strategies) == len(set(config.strategies)) else EXIT_BACKEND
 
 
 def cmd_stats(args) -> int:
     config = resolve_config(args)
     vocab = load_vocab(config)
     backend = build_backend(config, vocab)
-    dataset = load_dataset(args.dataset)
-    if not len(dataset):
-        raise ConfigError(f"dataset {args.dataset} has no valid points")
-    report = evaluate(["treeranker"], dataset, backend, vocab, config.eval_config())
+    dataset = load_points(args.dataset)
+    report = evaluate(["treeranker"], dataset, backend, vocab, config.eval)
     stats = tree_statistics(report.details["treeranker"])
     width = max(len(k) for k in stats)
     for key, value in stats.items():
@@ -296,8 +226,8 @@ def cmd_stats(args) -> int:
 def cmd_compare(args) -> int:
     def load(path):
         try:
-            return json.loads(Path(path).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+            return json.loads(read_text(path, "report"))
+        except json.JSONDecodeError as exc:
             raise ConfigError(f"cannot read report {path}: {exc}") from None
 
     a, b = load(args.report_a), load(args.report_b)
@@ -330,7 +260,10 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--backend", help="mock:<path|seed> or remote:<endpoint>")
         p.add_argument("--vocab", help="vocabulary file (<id>\\t<token> per line)")
-        p.add_argument("--strategy", action="append", help="repeatable; default treeranker")
+        p.add_argument(
+            "--strategy", action="append", dest="strategies", metavar="STRATEGY",
+            help="repeatable; default treeranker",
+        )
         p.add_argument("--alpha", type=float, help="length-penalty exponent for beamall")
         p.add_argument("--max-steps", type=int, dest="max_steps")
         p.add_argument("--unconstrained", action="store_true", default=None)
@@ -372,9 +305,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, UnknownStrategy, EmptyInput) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except (BackendUnavailable, ContextTooLong) as exc:
         print(f"backend error: {exc}", file=sys.stderr)
         return EXIT_BACKEND

@@ -29,10 +29,6 @@ class CompletionPoint:
     baselines: dict[str, list[str]] = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
 
-    @property
-    def ground_truth_index(self) -> int:
-        return self.candidates.index(self.ground_truth)
-
 
 @dataclass
 class LoadedDataset:

@@ -1,12 +1,19 @@
 """Strategy evaluation over completion-point datasets.
 
-Runs a decoding strategy on every point, locates the ground truth in the
-returned ranking, and aggregates MRR, Recall@K, exact match, token
-efficiency, decode statistics, and timing. Ranking time is measured from the
-first backend response to the end of the decode; total time adds a fixed
-first-token constant (75 ms by default). With ``runs > 1`` each point is
-timed across repeated runs and confidence intervals use Student's t per
-point, averaged across the dataset.
+Every strategy is an adapter ``adapter(point, backend, ctx)`` looked up by
+name through :func:`strategy_adapter`; the CLI's ``rank`` command runs the
+same adapters. :func:`evaluate` runs each requested strategy on every point,
+locates the ground truth in the returned ranking, and aggregates MRR,
+Recall@K, exact match, token efficiency, decode statistics, and timing. A
+strategy whose backend fails (:class:`BackendUnavailable`,
+:class:`ContextTooLong`) is left out of the report with a
+``strategy <name> aborted: ...`` warning; the error propagates only when no
+strategy completed.
+
+Ranking time is measured from the first backend response to the end of the
+decode; total time adds a fixed first-token constant (75 ms by default).
+With ``runs > 1`` each point is timed across repeated runs and confidence
+intervals use Student's t per point, averaged across the dataset.
 """
 
 from __future__ import annotations
@@ -15,17 +22,17 @@ import json
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from statistics import fmean, median, stdev
 
-from .backend import Distribution, ModelBackend
+from .backend import CountingBackend, ModelBackend
 from .baselines import beam_all, beam_search, filter_to_candidates, greedy_complete
-from .errors import EmptyInput, TrierankError
+from .errors import BackendUnavailable, ContextTooLong, EmptyInput, TrierankError
 from .metrics import exact_match_rate, mean_and_ci95, mrr, recall_at_k
 from .ranking import DecodeConfig, DecodeStats, rank
 from .tree import build_tree
 from .vocab import SubtokenMap, Vocabulary, full_subtoken_map, greedy_tokenize, identifier_prefix
 
-BASE_STRATEGIES = ("treeranker", "beamall", "greedy", "beam5", "beam20", "beam5f", "beam20f")
 IDE_PREFIX = "ide-baseline:"
 
 
@@ -37,11 +44,13 @@ class UnknownStrategy(TrierankError):
 class EvalConfig:
     decode: DecodeConfig = field(default_factory=DecodeConfig)
     alpha: float = 1.0
-    runs: int = 5
+    runs: int = 1
     first_token_ms: float = 75.0
     jobs: int = 1
 
     def __post_init__(self):
+        if self.alpha < 0:
+            raise ValueError("alpha must be >= 0")
         if self.runs < 1:
             raise ValueError("runs must be >= 1")
         if self.jobs < 1:
@@ -136,32 +145,15 @@ class EvalReport:
 
 
 @dataclass
-class _Context:
+class StrategyContext:
+    """What every adapter shares across the points of one run."""
+
     vocab: Vocabulary
     submap: SubtokenMap
     config: EvalConfig
 
 
-class _TimedSession(ModelBackend):
-    """Per-point wrapper recording call count and first-response instant."""
-
-    def __init__(self, inner: ModelBackend):
-        self.inner = inner
-        self.calls = 0
-        self.first_response: float | None = None
-
-    def raw_distribution(self, context):
-        raise NotImplementedError
-
-    def next_distribution(self, context, allowed=None, query=None) -> Distribution:
-        result = self.inner.next_distribution(context, allowed, query)
-        self.calls += 1
-        if self.first_response is None:
-            self.first_response = time.monotonic()
-        return result
-
-
-def _run_treeranker(point, backend, ctx: _Context) -> StrategyResult:
+def _run_treeranker(point, backend, ctx: StrategyContext) -> StrategyResult:
     prefix = greedy_tokenize(point.prefix, ctx.vocab)
     ranked, stats = rank(
         backend, prefix, point.candidates, ctx.vocab, ctx.config.decode, ctx.submap
@@ -175,7 +167,7 @@ def _run_treeranker(point, backend, ctx: _Context) -> StrategyResult:
     return StrategyResult([rc.identifier for rc in ranked], emitted, stats)
 
 
-def _run_beamall(point, backend, ctx: _Context) -> StrategyResult:
+def _run_beamall(point, backend, ctx: StrategyContext) -> StrategyResult:
     prefix = greedy_tokenize(point.prefix, ctx.vocab)
     tree = build_tree(point.candidates, ctx.vocab)
     scores = beam_all(backend, tree, prefix, ctx.config.alpha)
@@ -183,14 +175,14 @@ def _run_beamall(point, backend, ctx: _Context) -> StrategyResult:
     return StrategyResult(ranking, ranking[0] if ranking else None)
 
 
-def _run_greedy(point, backend, ctx: _Context) -> StrategyResult:
+def _run_greedy(point, backend, ctx: StrategyContext) -> StrategyResult:
     prefix = greedy_tokenize(point.prefix, ctx.vocab)
     emitted = greedy_complete(backend, prefix, ctx.vocab, ctx.config.decode.max_steps)
     return StrategyResult([emitted] if emitted else [], emitted)
 
 
 def _run_beam(width: int, filtered: bool):
-    def adapter(point, backend, ctx: _Context) -> StrategyResult:
+    def adapter(point, backend, ctx: StrategyContext) -> StrategyResult:
         prefix = greedy_tokenize(point.prefix, ctx.vocab)
         beams = beam_search(backend, prefix, ctx.vocab, width, ctx.config.decode.max_steps)
         if filtered:
@@ -202,7 +194,7 @@ def _run_beam(width: int, filtered: bool):
 
 
 def _run_ide(name: str):
-    def adapter(point, backend, ctx: _Context) -> StrategyResult:
+    def adapter(point, backend, ctx: StrategyContext) -> StrategyResult:
         ranking = point.baselines.get(name)
         if ranking is None:
             raise UnknownStrategy(f"point {point.id!r} carries no baseline ranking {name!r}")
@@ -211,18 +203,22 @@ def _run_ide(name: str):
     return adapter
 
 
+_ADAPTERS = {
+    "treeranker": _run_treeranker,
+    "beamall": _run_beamall,
+    "greedy": _run_greedy,
+    "beam5": _run_beam(5, False),
+    "beam20": _run_beam(20, False),
+    "beam5f": _run_beam(5, True),
+    "beam20f": _run_beam(20, True),
+}
+BASE_STRATEGIES = tuple(_ADAPTERS)
+
+
 def strategy_adapter(name: str):
-    table = {
-        "treeranker": _run_treeranker,
-        "beamall": _run_beamall,
-        "greedy": _run_greedy,
-        "beam5": _run_beam(5, False),
-        "beam20": _run_beam(20, False),
-        "beam5f": _run_beam(5, True),
-        "beam20f": _run_beam(20, True),
-    }
-    if name in table:
-        return table[name]
+    """The adapter registered for ``name``; raises :class:`UnknownStrategy`."""
+    if name in _ADAPTERS:
+        return _ADAPTERS[name]
     if name.startswith(IDE_PREFIX):
         return _run_ide(name[len(IDE_PREFIX) :])
     raise UnknownStrategy(
@@ -230,12 +226,12 @@ def strategy_adapter(name: str):
     )
 
 
-def _evaluate_point(adapter, point, backend, ctx: _Context) -> PointDetail:
+def _evaluate_point(adapter, point, backend, ctx: StrategyContext) -> PointDetail:
     gt = point.ground_truth
     gt_len = len(greedy_tokenize(gt, ctx.vocab))
 
     def one_run() -> tuple[StrategyResult, int, float]:
-        session = _TimedSession(backend.session())
+        session = CountingBackend(backend.session())
         result = adapter(point, session, ctx)
         end = time.monotonic()
         elapsed = (end - session.first_response) if session.first_response else 0.0
@@ -300,21 +296,29 @@ def evaluate(
     if not points:
         raise EmptyInput("dataset has no completion points")
     config = config or EvalConfig()
-    ctx = _Context(vocab, full_subtoken_map(vocab), config)
+    adapters = {name: strategy_adapter(name) for name in strategies}
+    ctx = StrategyContext(vocab, full_subtoken_map(vocab), config)
+    warnings = list(getattr(dataset, "warnings", []))
 
     reports: dict[str, StrategyReport] = {}
     details: dict[str, list[PointDetail]] = {}
-    for name in strategies:
-        adapter = strategy_adapter(name)
-        if config.jobs > 1:
-            with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-                point_details = list(
-                    pool.map(lambda p: _evaluate_point(adapter, p, backend, ctx), points)
-                )
-        else:
-            point_details = [_evaluate_point(adapter, p, backend, ctx) for p in points]
+    error: TrierankError | None = None
+    for name, adapter in adapters.items():
+        run = partial(_evaluate_point, adapter, backend=backend, ctx=ctx)
+        try:
+            if config.jobs > 1:
+                with ThreadPoolExecutor(max_workers=config.jobs) as pool:
+                    point_details = list(pool.map(run, points))
+            else:
+                point_details = [run(p) for p in points]
+        except (BackendUnavailable, ContextTooLong) as exc:
+            warnings.append(f"strategy {name} aborted: {exc}")
+            error = exc
+            continue
         details[name] = point_details
         reports[name] = _aggregate(point_details, config)
+    if error is not None and not reports:
+        raise error
 
     gt_lens = [len(greedy_tokenize(p.ground_truth, vocab)) for p in points]
     list_lens = [len(p.candidates) for p in points]
@@ -324,9 +328,8 @@ def evaluate(
         "median_candidates": median(list_lens),
         "avg_ground_truth_tokens": fmean(gt_lens),
     }
-    warnings = list(getattr(dataset, "warnings", []))
     config_echo = {
-        "strategies": list(strategies),
+        "strategies": list(reports),
         "constrained": config.decode.constrained,
         "early_stop": config.decode.early_stop,
         "max_steps": config.decode.max_steps,

@@ -67,18 +67,6 @@ class RankedCompletion:
         return (self.scored_len, self.last_prob)
 
 
-def compare(a: tuple[int, float], b: tuple[int, float]) -> int:
-    """Lexicographic ranking-key comparison; positive when ``a`` ranks better.
-
-    A longer scored path always wins; equal lengths fall back to the last
-    recorded probability. Full equality returns 0 and the caller keeps its
-    stable order.
-    """
-    if a == b:
-        return 0
-    return 1 if a > b else -1
-
-
 class ScoreTraces:
     """Per-candidate sequences of scored token probabilities."""
 
@@ -243,8 +231,8 @@ def rank_from_traces(traces: ScoreTraces, identifiers: list[str]) -> list[Ranked
         length = traces.length(i)
         assert length >= 1, "every candidate is scored at the first step"
         keys.append((length, traces.last(i)))
-    # Stable descending sort == the lexicographic comparison in compare();
-    # fully equal keys keep original candidate order.
+    # Stable descending sort: a longer scored path wins, equal lengths fall
+    # back to the last probability, fully equal keys keep candidate order.
     order = sorted(range(len(identifiers)), key=lambda i: keys[i], reverse=True)
     return [
         RankedCompletion(i, identifiers[i], keys[i][0], keys[i][1], pos + 1)
@@ -253,27 +241,31 @@ def rank_from_traces(traces: ScoreTraces, identifiers: list[str]) -> list[Ranked
 
 
 def ranking_record(
-    ranked: list[RankedCompletion], stats: DecodeStats, strategy: str | None = None
+    strategy: str, candidates: list[str], ranking: list[str], stats: DecodeStats | None
 ) -> dict:
-    """JSON-ready ranking output record."""
-    record = {
-        "ranking": [
-            {
-                "identifier": rc.identifier,
-                "rank": rc.rank,
-                "scored_len": rc.scored_len,
-                "last_prob": rc.last_prob,
-            }
-            for rc in ranked
-        ],
-        "stats": {
-            "steps": stats.steps_taken,
-            "early_stopped": stats.early_stopped,
-            "splits": stats.splits,
-            "pushes": stats.pushes,
-            "off_tree_exit": stats.off_tree_exit,
-        },
-    }
-    if strategy is not None:
-        record["strategy"] = strategy
-    return record
+    """JSON-ready ranking output record.
+
+    ``stats`` is a tree-ranker decode over ``candidates``; each entry's
+    ranking key is read from its score trace. Strategies without a decode
+    pass ``None`` and get ``null`` keys and statistics.
+    """
+    traces = dict(zip(candidates, stats.traces)) if stats is not None else {}
+    entries = [
+        {
+            "identifier": ident,
+            "rank": pos,
+            "scored_len": len(traces[ident]) if ident in traces else None,
+            "last_prob": traces[ident][-1] if ident in traces else None,
+        }
+        for pos, ident in enumerate(ranking, start=1)
+    ]
+    summary = dict.fromkeys(("steps", "early_stopped", "splits", "pushes", "off_tree_exit"))
+    if stats is not None:
+        summary.update(
+            steps=stats.steps_taken,
+            early_stopped=stats.early_stopped,
+            splits=stats.splits,
+            pushes=stats.pushes,
+            off_tree_exit=stats.off_tree_exit,
+        )
+    return {"strategy": strategy, "ranking": entries, "stats": summary}

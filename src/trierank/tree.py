@@ -27,14 +27,6 @@ class TreeNode:
     def is_leaf(self) -> bool:
         return not self.children
 
-    def child(self, token_id: int) -> "TreeNode | None":
-        return self.children.get(token_id)
-
-
-def valid_continuations(node: TreeNode) -> list[tuple[int, frozenset[int]]]:
-    """Child edges with their member sets, in ascending token-id order."""
-    return [(t, frozenset(node.children[t].members)) for t in sorted(node.children)]
-
 
 def unique_candidate(node: TreeNode) -> int | None:
     """The single candidate below ``node``, if the subtree holds exactly one."""

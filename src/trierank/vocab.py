@@ -65,9 +65,6 @@ class Vocabulary:
     def __contains__(self, text: str) -> bool:
         return text in self.ids
 
-    def text(self, token_id: int) -> str:
-        return self.texts[token_id]
-
     def id(self, text: str) -> int:
         return self.ids[text]
 
@@ -146,9 +143,6 @@ class TokenSeq:
     def __len__(self) -> int:
         return len(self.ids)
 
-    def extended(self, token_id: int, token_text: str) -> "TokenSeq":
-        return TokenSeq(self.ids + (token_id,), self.texts + (token_text,))
-
 
 def greedy_tokenize(text: str, vocab: Vocabulary) -> TokenSeq:
     """Tokenize ``text`` by taking the longest vocabulary match at each position.
@@ -182,7 +176,7 @@ class SubtokenMap:
     """Bidirectional strict-prefix relation between tokens.
 
     ``by_main[m]`` holds every token whose text is a strict prefix of
-    ``text(m)``; ``by_sub`` is the exact inverse.
+    ``texts[m]``; ``by_sub`` is the exact inverse.
     """
 
     by_main: dict[int, frozenset[int]] = field(default_factory=dict)

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from trierank.cli import EXIT_BACKEND, EXIT_CONFIG, EXIT_OK, main
 
 FIX = "fixtures"
@@ -49,6 +51,17 @@ class TestRank:
         record = json.loads(out)
         assert record["strategy"] == "beamall"
         assert {r["identifier"] for r in record["ranking"]} == {"add", "addAll", "clear"}
+
+    def test_baseline_strategy_has_null_keys_and_stats(self, capsys):
+        code, out, _ = run(
+            capsys, "rank", *BASE, "--strategy", "greedy", f"{FIX}/prefix.txt", "add", "clear"
+        )
+        assert code == EXIT_OK
+        record = json.loads(out)
+        assert record["ranking"]
+        for entry in record["ranking"]:
+            assert entry["scored_len"] is None and entry["last_prob"] is None
+        assert set(record["stats"].values()) == {None}
 
     def test_duplicate_candidates_warned_and_deduped(self, capsys):
         code, out, err = run(
@@ -103,12 +116,13 @@ class TestEval:
         assert code == EXIT_CONFIG
 
     def test_unreachable_backend_exits_3(self, capsys, tmp_path):
-        code, _, _ = run(
+        code, _, err = run(
             capsys, "eval", "--backend", "remote:http://127.0.0.1:9/",
             "--vocab", f"{FIX}/vocab.tsv", "--out", str(tmp_path / "r.json"),
             f"{FIX}/smoke.jsonl",
         )
         assert code == EXIT_BACKEND
+        assert err.startswith("backend error: ")
 
     def test_partial_abort_flags_strategy_and_exits_3(self, capsys, tmp_path):
         # A 3-token window lets treeranker finish (early stops at depth 2)
@@ -219,6 +233,25 @@ class TestCompare:
         b.write_text('{"strategies": {"y": {}}}', encoding="utf-8")
         code, _, _ = run(capsys, "compare", str(a), str(b))
         assert code == EXIT_CONFIG
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rank", *BASE, "--max-steps", "0", f"{FIX}/prefix.txt", "add"],
+        ["rank", *BASE, "--alpha", "-1", "--strategy", "beamall", f"{FIX}/prefix.txt", "add"],
+        ["eval", *BASE, "--jobs", "0", f"{FIX}/smoke.jsonl"],
+        ["rank", *BASE, f"{FIX}/missing-prefix.txt", "add"],
+        ["rank", *BASE, "--candidates-file", f"{FIX}/missing.txt", f"{FIX}/prefix.txt"],
+        ["eval", *BASE, f"{FIX}/missing.jsonl"],
+    ],
+    ids=["max-steps-0", "negative-alpha", "jobs-0", "prefix-file", "candidates-file", "dataset"],
+)
+def test_invalid_input_exits_2_with_one_error_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 def test_console_script_entry():

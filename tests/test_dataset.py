@@ -30,7 +30,6 @@ def test_well_formed_file(tmp_path):
     loaded = load_dataset(path)
     assert len(loaded) == 3
     assert loaded.warnings == []
-    assert loaded.points[0].ground_truth_index == 0
 
 
 def test_truth_not_in_candidates_rejected(tmp_path):

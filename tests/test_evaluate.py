@@ -1,7 +1,11 @@
+import json
+from pathlib import Path
+
 import pytest
 
-from trierank import CountingBackend, Vocabulary, load_dataset, mock_backend_from_spec
-from trierank.errors import EmptyInput
+import trierank.evaluate
+from trierank import ModelBackend, Vocabulary, load_dataset, mock_backend_from_spec
+from trierank.errors import ContextTooLong, EmptyInput
 from trierank.evaluate import EvalConfig, UnknownStrategy, evaluate, tree_statistics
 from trierank.ranking import DecodeConfig
 
@@ -16,14 +20,25 @@ def fixture_env():
     return vocab, backend, dataset
 
 
-def config(**kw):
-    return EvalConfig(runs=kw.pop("runs", 1), **kw)
+@pytest.fixture(scope="module")
+def tight_backend(fixture_env):
+    """The fixture model with a 3-token window: treeranker finishes, greedy
+    over-generates past it."""
+    vocab = fixture_env[0]
+    spec = json.loads(Path(f"{FIXTURES}/mockspec.json").read_text(encoding="utf-8"))
+    spec["max_context"] = 3
+    return mock_backend_from_spec(spec, vocab)
+
+
+class NoCalls(ModelBackend):
+    def next_distribution(self, context, allowed=None, query=None):
+        raise AssertionError("backend called")
 
 
 class TestTreeranker:
     def test_hand_computed_metrics(self, fixture_env):
         vocab, backend, dataset = fixture_env
-        report = evaluate("treeranker", dataset, backend, vocab, config())
+        report = evaluate("treeranker", dataset, backend, vocab)
         rep = report.strategies["treeranker"]
         # Every point resolves to the ground truth at rank 1 (traced by hand).
         assert rep.mrr == 1.0
@@ -38,7 +53,7 @@ class TestTreeranker:
 
     def test_dataset_summary(self, fixture_env):
         vocab, backend, dataset = fixture_env
-        report = evaluate("treeranker", dataset, backend, vocab, config())
+        report = evaluate("treeranker", dataset, backend, vocab)
         assert report.dataset["points"] == 4
         assert report.dataset["avg_candidates"] == pytest.approx((3 + 2 + 1 + 2) / 4)
         assert report.dataset["median_candidates"] == 2
@@ -46,7 +61,7 @@ class TestTreeranker:
 
     def test_tree_statistics(self, fixture_env):
         vocab, backend, dataset = fixture_env
-        report = evaluate("treeranker", dataset, backend, vocab, config())
+        report = evaluate("treeranker", dataset, backend, vocab)
         stats = tree_statistics(report.details["treeranker"])
         assert stats["early_completion_rate"] == 1.0
         assert stats["split_rate"] == 0.25
@@ -57,10 +72,9 @@ class TestTreeranker:
 
 class TestBaselineStrategies:
     def test_ide_baseline_never_calls_backend(self, fixture_env):
-        vocab, backend, dataset = fixture_env
-        counter = CountingBackend(backend)
-        report = evaluate("ide-baseline:intellij", dataset, backend=counter, vocab=vocab, config=config())
-        assert counter.calls == 0
+        vocab, _, dataset = fixture_env
+        report = evaluate("ide-baseline:intellij", dataset, NoCalls(), vocab)
+        assert all(d.backend_calls == 0 for d in report.details["ide-baseline:intellij"])
         rep = report.strategies["ide-baseline:intellij"]
         # ranks 3, 2, 1, 1 straight from the stored ordering
         assert rep.mrr == pytest.approx((1 / 3 + 1 / 2 + 1 + 1) / 4)
@@ -69,14 +83,14 @@ class TestBaselineStrategies:
 
     def test_greedy_exact_match(self, fixture_env):
         vocab, backend, dataset = fixture_env
-        report = evaluate("greedy", dataset, backend, vocab, config())
+        report = evaluate("greedy", dataset, backend, vocab)
         rep = report.strategies["greedy"]
         assert rep.em == 1.0
         assert rep.recall[1] == 1.0
 
     def test_beam_and_filter(self, fixture_env):
         vocab, backend, dataset = fixture_env
-        report = evaluate(["beam5", "beam5f", "beamall"], dataset, backend, vocab, config())
+        report = evaluate(["beam5", "beam5f", "beamall"], dataset, backend, vocab)
         assert set(report.strategies) == {"beam5", "beam5f", "beamall"}
         assert report.strategies["beamall"].recall[20] == 1.0
         # Filtering never hurts the rank of an in-list ground truth.
@@ -85,24 +99,27 @@ class TestBaselineStrategies:
     def test_unknown_strategy_rejected(self, fixture_env):
         vocab, backend, dataset = fixture_env
         with pytest.raises(UnknownStrategy):
-            evaluate("beam7", dataset, backend, vocab, config())
+            evaluate("beam7", dataset, backend, vocab)
+        # Every name is resolved before any strategy runs.
+        with pytest.raises(UnknownStrategy):
+            evaluate(["treeranker", "beam7"], dataset, NoCalls(), vocab)
 
 
 class TestHarnessBehavior:
     def test_empty_dataset_rejected(self, fixture_env):
         vocab, backend, _ = fixture_env
         with pytest.raises(EmptyInput):
-            evaluate("treeranker", [], backend, vocab, config())
+            evaluate("treeranker", [], backend, vocab)
 
     def test_report_json_deterministic(self, fixture_env):
         vocab, backend, dataset = fixture_env
-        a = evaluate("treeranker", dataset, backend, vocab, config())
-        b = evaluate("treeranker", dataset, backend, vocab, config())
+        a = evaluate("treeranker", dataset, backend, vocab)
+        b = evaluate("treeranker", dataset, backend, vocab)
         assert a.to_json(include_timing=False) == b.to_json(include_timing=False)
 
     def test_timing_fields_with_multiple_runs(self, fixture_env):
         vocab, backend, dataset = fixture_env
-        report = evaluate("treeranker", dataset, backend, vocab, config(runs=5))
+        report = evaluate("treeranker", dataset, backend, vocab, EvalConfig(runs=5))
         rep = report.strategies["treeranker"]
         mean, ci = rep.ranking_time
         assert mean >= 0.0 and ci >= 0.0
@@ -113,20 +130,53 @@ class TestHarnessBehavior:
 
     def test_unconstrained_config_plumbed(self, fixture_env):
         vocab, backend, dataset = fixture_env
-        cfg = EvalConfig(decode=DecodeConfig(constrained=False), runs=1)
+        cfg = EvalConfig(decode=DecodeConfig(constrained=False))
         report = evaluate("treeranker", dataset, backend, vocab, cfg)
         assert report.config["constrained"] is False
         assert report.strategies["treeranker"].mrr == 1.0
 
     def test_jobs_parallel_matches_serial(self, fixture_env):
         vocab, backend, dataset = fixture_env
-        serial = evaluate("treeranker", dataset, backend, vocab, config())
-        parallel = evaluate("treeranker", dataset, backend, vocab, config(jobs=4))
+        serial = evaluate("treeranker", dataset, backend, vocab)
+        parallel = evaluate("treeranker", dataset, backend, vocab, EvalConfig(jobs=4))
         assert serial.to_json(include_timing=False) == parallel.to_json(include_timing=False)
 
     def test_table_rendering(self, fixture_env):
         vocab, backend, dataset = fixture_env
-        report = evaluate(["treeranker", "greedy"], dataset, backend, vocab, config())
+        report = evaluate(["treeranker", "greedy"], dataset, backend, vocab)
         table = report.table()
         assert "treeranker" in table and "greedy" in table
         assert "MRR" in table and "R@20" in table
+
+    def test_aborted_strategy_becomes_warning(self, fixture_env, tight_backend):
+        vocab, _, dataset = fixture_env
+        report = evaluate(["treeranker", "greedy"], dataset, tight_backend, vocab)
+        assert set(report.strategies) == set(report.details) == {"treeranker"}
+        assert report.config["strategies"] == ["treeranker"]
+        assert report.warnings == ["strategy greedy aborted: context of 4 tokens exceeds 3"]
+
+    def test_all_aborted_raises(self, fixture_env, tight_backend):
+        vocab, _, dataset = fixture_env
+        with pytest.raises(ContextTooLong):
+            evaluate(["greedy"], dataset, tight_backend, vocab)
+
+    def test_adapters_resolved_at_call_time(self, fixture_env, monkeypatch):
+        vocab, backend, dataset = fixture_env
+        resolve = trierank.evaluate.strategy_adapter
+        looked_up = []
+
+        def spy(name):
+            looked_up.append(name)
+            return resolve(name)
+
+        monkeypatch.setattr(trierank.evaluate, "strategy_adapter", spy)
+        evaluate(["treeranker", "greedy"], dataset, backend, vocab)
+        assert looked_up == ["treeranker", "greedy"]
+
+    @pytest.mark.parametrize("bad", [{"alpha": -1.0}, {"runs": 0}, {"jobs": 0}])
+    def test_config_rejects_invalid(self, bad):
+        with pytest.raises(ValueError):
+            EvalConfig(**bad)
+
+    def test_runs_default_to_one(self):
+        assert EvalConfig().runs == 1

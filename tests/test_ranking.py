@@ -11,7 +11,6 @@ from trierank import (
     Vocabulary,
     build_allowed_set,
     build_tree,
-    compare,
     full_subtoken_map,
     greedy_tokenize,
     rank,
@@ -19,7 +18,7 @@ from trierank import (
     record_step,
 )
 from trierank.errors import EmptyCandidateList, EmptyMask, MissingChildProbability
-from trierank.ranking import DecodeConfig
+from trierank.ranking import DecodeConfig, rank_from_traces
 from trierank.tree import CompletionTree, TreeNode
 
 from support import branch_following_backend, random_model
@@ -206,23 +205,32 @@ class TestRecordStep:
             record_step(ScoreTraces(3), tree.root, Distribution({worked_vocab.id("add"): 1.0}, 0))
 
 
+def ranked_order(*traces):
+    """Candidate indices in ranked order for the given per-candidate traces."""
+    scores = ScoreTraces(len(traces))
+    for i, trace in enumerate(traces):
+        for p in trace:
+            scores.append_for([i], p)
+    return [rc.candidate for rc in rank_from_traces(scores, [f"c{i}" for i in range(len(traces))])]
+
+
 class TestCompare:
     def test_length_dominates(self):
-        assert compare((2, 0.1), (1, 0.99)) == 1
+        assert ranked_order((0.99,), (0.5, 0.1)) == [1, 0]
 
     def test_probability_breaks_equal_length(self):
-        assert compare((1, 0.6), (1, 0.3)) == 1
-        assert compare((1, 0.3), (1, 0.6)) == -1
+        assert ranked_order((0.3,), (0.6,)) == [1, 0]
+        assert ranked_order((0.6,), (0.3,)) == [0, 1]
 
     def test_full_equality(self):
-        assert compare((1, 0.5), (1, 0.5)) == 0
+        assert ranked_order((0.5,), (0.5,), (0.5,)) == [0, 1, 2]
 
     def test_matches_tuple_sort(self):
         rng = random.Random(3)
         keys = [(rng.randint(1, 3), rng.choice([0.1, 0.5, 0.9])) for _ in range(50)]
+        traces = [(0.7,) * (length - 1) + (last,) for length, last in keys]
         by_tuple = sorted(range(50), key=lambda i: keys[i], reverse=True)
-        for a, b in zip(by_tuple, by_tuple[1:]):
-            assert compare(keys[a], keys[b]) >= 0
+        assert ranked_order(*traces) == by_tuple
 
 
 class TestDecodeProperties:
@@ -356,8 +364,11 @@ def test_split_and_push_counters_match_instrumented_recount(monkeypatch):
 
 def test_ranking_record_shape(worked_backend, worked_prefix, worked_vocab, worked_candidates):
     ranked, stats = rank(worked_backend, worked_prefix, worked_candidates, worked_vocab)
-    record = ranking_record(ranked, stats, strategy="treeranker")
+    record = ranking_record("treeranker", worked_candidates, identifiers(ranked), stats)
     assert record["strategy"] == "treeranker"
     assert [r["identifier"] for r in record["ranking"]] == ["addAll", "add", "clear"]
+    assert [(r["scored_len"], r["last_prob"]) for r in record["ranking"]] == [
+        rc.key for rc in ranked
+    ]
     assert set(record["stats"]) == {"steps", "early_stopped", "splits", "pushes", "off_tree_exit"}
     assert record["stats"]["steps"] == 2
