@@ -32,7 +32,7 @@ from .evaluate import (
 )
 from .ranking import DecodeConfig, ranking_record
 from .remote import RemoteBackend
-from .vocab import Vocabulary, boundary_merged, full_subtoken_map
+from .vocab import Vocabulary, boundary_merged
 
 EXIT_OK, EXIT_CONFIG, EXIT_BACKEND = 0, 2, 3
 
@@ -51,11 +51,21 @@ class RunConfig:
     eval: EvalConfig
 
 
-# Config-file keys; each is also the argparse dest of its flag.
-_FILE_KEYS = (
-    "backend", "vocab", "strategies", "alpha", "max_steps", "unconstrained",
-    "no_early_stop", "runs", "first_token_ms", "jobs", "out", "no_timing",
-)
+# Config-file keys and the JSON type each takes; each key is also the
+# argparse dest of its flag. A boolean is not a number.
+_TYPES = {
+    "a string": lambda v: isinstance(v, str),
+    "a list of strings": lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
+    "a number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "an integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "a boolean": lambda v: isinstance(v, bool),
+}
+_FILE_KEYS = {
+    "backend": "a string", "vocab": "a string", "out": "a string",
+    "strategies": "a list of strings", "alpha": "a number", "first_token_ms": "a number",
+    "max_steps": "an integer", "runs": "an integer", "jobs": "an integer",
+    "unconstrained": "a boolean", "no_early_stop": "a boolean", "no_timing": "a boolean",
+}
 
 
 def read_text(path, what: str) -> str:
@@ -74,9 +84,11 @@ def resolve_config(args) -> RunConfig:
             raise ConfigError(f"cannot read config file {args.config}: {exc}") from None
         if not isinstance(raw, dict):
             raise ConfigError(f"config file {args.config} must hold a JSON object")
-        for key in raw:
+        for key, value in raw.items():
             if key not in _FILE_KEYS:
                 raise ConfigError(f"unknown config key {key!r}")
+            if not _TYPES[_FILE_KEYS[key]](value):
+                raise ConfigError(f"config key {key!r} must be {_FILE_KEYS[key]}, not {value!r}")
         settings.update(raw)
     settings.update((k, getattr(args, k)) for k in _FILE_KEYS if getattr(args, k) is not None)
 
@@ -178,8 +190,7 @@ def cmd_rank(args) -> int:
             )
 
     point = CompletionPoint("cli", prefix_text, deduped, deduped[0])
-    ctx = StrategyContext(vocab, full_subtoken_map(vocab), config.eval)
-    result = adapter(point, backend.session(), ctx)
+    result = adapter(point, backend.session(), StrategyContext(vocab, config.eval))
     record = ranking_record(strategy, deduped, result.ranking, result.decode)
     print(json.dumps(record, indent=2, sort_keys=True))
     return EXIT_OK
@@ -194,7 +205,7 @@ def cmd_eval(args) -> int:
 
     out = Path(config.out or "report.json")
     out.write_text(report.to_json(config.include_timing) + "\n", encoding="utf-8")
-    table = report.table()
+    table = report.table(config.include_timing)
     out.with_suffix(".txt").write_text(table + "\n", encoding="utf-8")
     print(table)
     if report.warnings:

@@ -28,10 +28,10 @@ from statistics import fmean, median, stdev
 from .backend import CountingBackend, ModelBackend
 from .baselines import beam_all, beam_search, filter_to_candidates, greedy_complete
 from .errors import BackendUnavailable, ContextTooLong, EmptyInput, TrierankError
-from .metrics import exact_match_rate, mean_and_ci95, mrr, recall_at_k
+from .metrics import exact_match_rate, mean_and_ci95, mrr, recall_at_k, token_efficiency
 from .ranking import DecodeConfig, DecodeStats, rank
 from .tree import build_tree
-from .vocab import SubtokenMap, Vocabulary, full_subtoken_map, greedy_tokenize, identifier_prefix
+from .vocab import Vocabulary, greedy_tokenize, identifier_prefix
 
 IDE_PREFIX = "ide-baseline:"
 
@@ -131,15 +131,17 @@ class EvalReport:
         }
         return json.dumps(payload, indent=2, sort_keys=True)
 
-    def table(self) -> str:
-        header = f"{'strategy':<22}{'MRR':>7}{'R@1':>7}{'R@5':>7}{'R@20':>7}{'EM':>7}{'TER':>7}  ranking-time"
+    def table(self, include_timing: bool = True) -> str:
+        header = f"{'strategy':<22}{'MRR':>7}{'R@1':>7}{'R@5':>7}{'R@20':>7}{'EM':>7}{'TER':>7}"
+        header += "  ranking-time" if include_timing else ""
         lines = [header, "-" * len(header)]
         for name, rep in self.strategies.items():
             ter = f"{rep.token_efficiency:.2f}" if rep.token_efficiency is not None else "-"
-            timing = f"{rep.ranking_time[0] * 1000:.1f}±{rep.ranking_time[1] * 1000:.1f} ms"
+            mean_ms, ci_ms = rep.ranking_time[0] * 1000, rep.ranking_time[1] * 1000
+            timing = f"  {mean_ms:.1f}±{ci_ms:.1f} ms" if include_timing else ""
             lines.append(
                 f"{name:<22}{rep.mrr:>7.3f}{rep.recall[1]:>7.3f}{rep.recall[5]:>7.3f}"
-                f"{rep.recall[20]:>7.3f}{rep.em:>7.3f}{ter:>7}  {timing}"
+                f"{rep.recall[20]:>7.3f}{rep.em:>7.3f}{ter:>7}{timing}"
             )
         return "\n".join(lines)
 
@@ -149,15 +151,12 @@ class StrategyContext:
     """What every adapter shares across the points of one run."""
 
     vocab: Vocabulary
-    submap: SubtokenMap
     config: EvalConfig
 
 
 def _run_treeranker(point, backend, ctx: StrategyContext) -> StrategyResult:
     prefix = greedy_tokenize(point.prefix, ctx.vocab)
-    ranked, stats = rank(
-        backend, prefix, point.candidates, ctx.vocab, ctx.config.decode, ctx.submap
-    )
+    ranked, stats = rank(backend, prefix, point.candidates, ctx.vocab, ctx.config.decode)
     if stats.identified is not None:
         emitted = point.candidates[stats.identified]
     else:
@@ -250,7 +249,6 @@ def _evaluate_point(adapter, point, backend, ctx: StrategyContext) -> PointDetai
         ranking_times=times,
     )
     if result.decode is not None:
-        result.decode.ground_truth_token_length = gt_len
         detail.steps = result.decode.steps_taken
         detail.early_stopped = result.decode.early_stopped
         detail.had_split = result.decode.splits > 0
@@ -264,15 +262,13 @@ def _aggregate(details: list[PointDetail], config: EvalConfig) -> StrategyReport
     ranking_mean, ranking_ci = fmean(point_means), fmean(point_cis)
     first_token_s = config.first_token_ms / 1000.0
     with_calls = [d for d in details if d.backend_calls > 0]
-    ter = (
-        fmean(d.gt_token_len / d.backend_calls for d in with_calls) if with_calls else None
-    )
+    ters = [token_efficiency(d.gt_token_len, d.backend_calls) for d in with_calls]
     decoded = [d for d in details if d.steps is not None]
     return StrategyReport(
         mrr=mrr(ranks),
         recall={k: recall_at_k(ranks, k) for k in (1, 5, 20)},
         em=exact_match_rate([d.emitted_match for d in details]),
-        token_efficiency=ter,
+        token_efficiency=fmean(ters) if ters else None,
         avg_generated_tokens=fmean(d.backend_calls for d in with_calls) if with_calls else None,
         early_stop_rate=fmean(d.early_stopped for d in decoded) if decoded else None,
         split_rate=fmean(d.had_split for d in decoded) if decoded else None,
@@ -297,7 +293,7 @@ def evaluate(
         raise EmptyInput("dataset has no completion points")
     config = config or EvalConfig()
     adapters = {name: strategy_adapter(name) for name in strategies}
-    ctx = StrategyContext(vocab, full_subtoken_map(vocab), config)
+    ctx = StrategyContext(vocab, config)
     warnings = list(getattr(dataset, "warnings", []))
 
     reports: dict[str, StrategyReport] = {}
@@ -357,6 +353,6 @@ def tree_statistics(details: list[PointDetail]) -> dict:
         "avg_generated_tokens": fmean(steps),
         "std_generated_tokens": stdev(steps) if len(steps) > 1 else 0.0,
         "token_efficiency": fmean(
-            d.gt_token_len / d.backend_calls for d in details if d.backend_calls
+            token_efficiency(d.gt_token_len, d.backend_calls) for d in details if d.backend_calls
         ),
     }

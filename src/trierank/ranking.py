@@ -45,7 +45,6 @@ class DecodeStats:
     early_stopped: bool = False
     splits: int = 0
     pushes: int = 0
-    ground_truth_token_length: int | None = None
     off_tree_exit: bool = False
     # Engine extras, not part of the wire record.
     identified: int | None = None
@@ -131,7 +130,8 @@ def rank(
     config: DecodeConfig | None = None,
     submap: SubtokenMap | None = None,
 ) -> tuple[list[RankedCompletion], DecodeStats]:
-    """Rank ``candidates`` for the context ``prefix`` with one greedy decode."""
+    """Rank ``candidates`` for ``prefix`` with one greedy decode; ``submap``
+    defaults to the vocabulary's shared :func:`full_subtoken_map`."""
     if not candidates:
         raise EmptyCandidateList("no candidates to rank")
     if len(prefix) == 0:

@@ -96,7 +96,16 @@ class CompletionTree:
                 f"token {sub_text!r} prefixes {len(affected_edges)} children, need >= 2"
             )
 
-        base_tokens = self._tokens_to(node)
+        # The root path to ``node`` is a prefix of each member's current
+        # tokenization, so walking one member's costs O(depth).
+        ids = self.token_seqs[next(iter(node.members))].ids
+        at, depth = self.root, 0
+        while at is not node:
+            if at is None or depth == len(ids):
+                raise ValueError("node does not belong to this tree")
+            at = at.children.get(ids[depth])
+            depth += 1
+        base_tokens = ids[:depth]
         consumed = "".join(self.vocab.texts[t] for t in base_tokens)
         moved: list[int] = []
         for t in affected_edges:
@@ -122,22 +131,6 @@ class CompletionTree:
         matches = [m for m in submap.mains_of(subtoken) if m in node.children]
         if len(matches) == 1:
             return matches[0]
-        return None
-
-    def _tokens_to(self, target: TreeNode) -> tuple[int, ...]:
-        path = self._path_to(target)
-        if path is None:
-            raise ValueError("node does not belong to this tree")
-        return path
-
-    def _path_to(self, target: TreeNode, node: TreeNode | None = None, acc: tuple[int, ...] = ()) -> tuple[int, ...] | None:
-        node = node or self.root
-        if node is target:
-            return acc
-        for t, child in node.children.items():
-            found = self._path_to(target, child, acc + (t,))
-            if found is not None:
-                return found
         return None
 
     def spelled_identifiers(self) -> set[str]:

@@ -9,7 +9,9 @@ which others, so the decoder can admit and resolve partial-token selections.
 
 from __future__ import annotations
 
+import re
 import string
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -36,7 +38,7 @@ class Vocabulary:
     Token texts must be unique and non-empty.
     """
 
-    __slots__ = ("texts", "ids", "_max_len", "_termination_ids")
+    __slots__ = ("texts", "ids", "_max_len", "_termination_ids", "_subtoken_map")
 
     def __init__(self, texts: list[str]):
         seen: dict[str, int] = {}
@@ -50,6 +52,7 @@ class Vocabulary:
         self.ids: dict[str, int] = seen
         self._max_len = max((len(t) for t in texts), default=0)
         self._termination_ids: frozenset[int] | None = None
+        self._subtoken_map: SubtokenMap | None = None
 
     @classmethod
     def from_texts(cls, texts) -> "Vocabulary":
@@ -109,24 +112,18 @@ def _escape(text: str) -> str:
     return text.replace("\\", "\\\\").replace("\t", "\\t").replace("\n", "\\n")
 
 
+_UNESCAPES = {"\\": "\\", "t": "\t", "n": "\n"}
+_ESCAPE = re.compile(r"\\(.?)")
+
+
 def _unescape(text: str, lineno: int) -> str:
-    out: list[str] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\\":
-            if i + 1 >= len(text):
-                raise ParseError(lineno, "dangling escape")
-            nxt = text[i + 1]
-            try:
-                out.append({"\\": "\\", "t": "\t", "n": "\n"}[nxt])
-            except KeyError:
-                raise ParseError(lineno, f"unknown escape \\{nxt}") from None
-            i += 2
-        else:
-            out.append(ch)
-            i += 1
-    return "".join(out)
+    def replace(match: re.Match) -> str:
+        nxt = match.group(1)
+        if nxt not in _UNESCAPES:
+            raise ParseError(lineno, f"unknown escape \\{nxt}" if nxt else "dangling escape")
+        return _UNESCAPES[nxt]
+
+    return _ESCAPE.sub(replace, text)
 
 
 @dataclass(frozen=True)
@@ -189,13 +186,12 @@ class SubtokenMap:
         return self.by_sub.get(sub_id, frozenset())
 
 
-def build_subtoken_map(vocab: Vocabulary, main_tokens) -> SubtokenMap:
-    """Map each main token to the vocabulary tokens that strictly prefix it."""
+def build_subtoken_map(vocab: Vocabulary) -> SubtokenMap:
+    """Map every vocabulary token to the vocabulary tokens that strictly prefix it."""
     by_main: dict[int, frozenset[int]] = {}
     by_sub: dict[int, set[int]] = {}
     lookup = vocab.ids
-    for m in sorted(main_tokens):
-        text = vocab.texts[m]
+    for m, text in enumerate(vocab.texts):
         subs = []
         for cut in range(1, len(text)):
             s = lookup.get(text[:cut])
@@ -206,13 +202,17 @@ def build_subtoken_map(vocab: Vocabulary, main_tokens) -> SubtokenMap:
     return SubtokenMap(by_main, {s: frozenset(ms) for s, ms in by_sub.items()})
 
 
-def full_subtoken_map(vocab: Vocabulary) -> SubtokenMap:
-    """Subtoken map treating every vocabulary token as a potential main token.
+_SUBTOKEN_MAP_LOCK = threading.Lock()
 
-    Built once per vocabulary so dynamically re-tokenized branches are already
-    covered; safe to share across concurrent rankings.
-    """
-    return build_subtoken_map(vocab, range(vocab.size))
+
+def full_subtoken_map(vocab: Vocabulary) -> SubtokenMap:
+    """The subtoken map of every token in ``vocab``, built once on first use
+    and kept on the vocabulary; safe to share across concurrent rankings."""
+    if vocab._subtoken_map is None:
+        with _SUBTOKEN_MAP_LOCK:
+            if vocab._subtoken_map is None:
+                vocab._subtoken_map = build_subtoken_map(vocab)
+    return vocab._subtoken_map
 
 
 def boundary_merged(prefix_text: str, candidate: str, vocab: Vocabulary) -> bool:

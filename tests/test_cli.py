@@ -143,6 +143,18 @@ class TestEval:
         assert report["config"]["strategies"] == ["treeranker"]
         assert any("greedy aborted" in w for w in report["warnings"])
 
+    def test_no_timing_table_has_no_timing_column(self, capsys, tmp_path):
+        out_path = tmp_path / "report.json"
+        code, out, _ = run(
+            capsys, "eval", *BASE, "--no-timing", "--out", str(out_path), f"{FIX}/smoke.jsonl"
+        )
+        assert code == EXIT_OK
+        table = out_path.with_suffix(".txt").read_text(encoding="utf-8")
+        assert "ranking-time" not in table and " ms" not in table
+        assert table in out
+        run(capsys, "eval", *BASE, "--out", str(out_path), f"{FIX}/smoke.jsonl")
+        assert "ranking-time" in out_path.with_suffix(".txt").read_text(encoding="utf-8")
+
     def test_report_roundtrips_through_json(self, capsys, tmp_path):
         out_path = tmp_path / "report.json"
         run(capsys, "eval", *BASE, "--out", str(out_path), f"{FIX}/smoke.jsonl")
@@ -244,10 +256,20 @@ class TestCompare:
         ["rank", *BASE, f"{FIX}/missing-prefix.txt", "add"],
         ["rank", *BASE, "--candidates-file", f"{FIX}/missing.txt", f"{FIX}/prefix.txt"],
         ["eval", *BASE, f"{FIX}/missing.jsonl"],
+        ["eval", *BASE, "--config", {"first_token_ms": "x"}, f"{FIX}/smoke.jsonl"],
+        ["eval", *BASE, "--config", {"strategies": "greedy"}, f"{FIX}/smoke.jsonl"],
     ],
-    ids=["max-steps-0", "negative-alpha", "jobs-0", "prefix-file", "candidates-file", "dataset"],
+    ids=[
+        "max-steps-0", "negative-alpha", "jobs-0", "prefix-file", "candidates-file", "dataset",
+        "config-string-number", "config-string-strategies",
+    ],
 )
-def test_invalid_input_exits_2_with_one_error_line(capsys, argv):
+def test_invalid_input_exits_2_with_one_error_line(capsys, tmp_path, argv):
+    argv, cfg = list(argv), tmp_path / "cfg.json"
+    for i, arg in enumerate(argv):
+        if isinstance(arg, dict):  # stands for a config file holding it
+            cfg.write_text(json.dumps(arg), encoding="utf-8")
+            argv[i] = str(cfg)
     code, out, err = run(capsys, *argv)
     assert code == EXIT_CONFIG
     assert out == ""

@@ -156,6 +156,24 @@ class TestSplit:
         assert_members_consistent(tree)
         assert_paths_spell_identifiers(tree)
 
+    def test_split_at_depth_1500(self):
+        vocab = Vocabulary.from_texts(["a", "b", "c", "d", "bc", "bd"])
+        stem = "a" * 1500
+        tree = build_tree([stem + "bc", stem + "bd"], vocab)
+        deep = tree.node_for(tree.token_seqs[0].ids[:1500])
+        node = tree.split_on_subtoken(deep, vocab.id("b"))
+        assert node.members == {0, 1}
+        assert tree.token_seqs[0].texts == ("a",) * 1500 + ("b", "c")
+        assert tree.token_seqs[1].texts == ("a",) * 1500 + ("b", "d")
+        assert_paths_spell_identifiers(tree)
+
+    def test_foreign_node_rejected(self):
+        vocab = Vocabulary.from_texts(SPLIT_TOKENS)
+        tree = build_tree(["isEmpty", "isDone"], vocab)
+        other = build_tree(["isEmpty", "isDone"], vocab)
+        with pytest.raises(ValueError):
+            tree.split_on_subtoken(other.root, vocab.id("is"))
+
 
 class TestMainTokenPush:
     def test_unambiguous_push(self):

@@ -2,7 +2,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trierank import Vocabulary, build_subtoken_map, full_subtoken_map, greedy_tokenize
+import trierank.vocab
+from trierank import (
+    Vocabulary,
+    full_subtoken_map,
+    greedy_tokenize,
+    load_dataset,
+    mock_backend_from_spec,
+    rank,
+)
+from trierank.cli import main
+from trierank.evaluate import evaluate
 from trierank.errors import ParseError, UncoverableText
 from trierank.vocab import boundary_merged, identifier_prefix
 
@@ -66,19 +76,47 @@ def test_roundtrip_and_greedy_optimality(case):
 class TestSubtokenMap:
     def test_strict_prefix_enumeration(self):
         v = vocab_of("is", "isEmpty", "i", "Empty")
-        m = build_subtoken_map(v, {v.id("isEmpty")})
+        m = full_subtoken_map(v)
         assert m.subtokens_of(v.id("isEmpty")) == {v.id("is"), v.id("i")}
 
     def test_no_prefixes_present(self):
         v = vocab_of("is", "isEmpty", "i", "Empty")
-        m = build_subtoken_map(v, {v.id("Empty")})
+        m = full_subtoken_map(v)
         assert m.subtokens_of(v.id("Empty")) == frozenset()
 
     def test_inverse_map(self):
         v = vocab_of("a", "ab", "abc")
-        m = build_subtoken_map(v, {v.id("ab"), v.id("abc")})
+        m = full_subtoken_map(v)
         assert m.mains_of(v.id("a")) == {v.id("ab"), v.id("abc")}
         assert m.mains_of(v.id("ab")) == {v.id("abc")}
+
+    def test_built_once_per_vocabulary(self, monkeypatch, capsys):
+        builds = []
+        real = trierank.vocab.build_subtoken_map
+
+        def counting(vocab):
+            builds.append(vocab)
+            return real(vocab)
+
+        monkeypatch.setattr(trierank.vocab, "build_subtoken_map", counting)
+
+        def fixture_vocab_and_backend():
+            vocab = Vocabulary.load("fixtures/vocab.tsv")
+            return vocab, mock_backend_from_spec("fixtures/mockspec.json", vocab)
+
+        rank_vocab, backend = fixture_vocab_and_backend()
+        prefix = greedy_tokenize("x.", rank_vocab)
+        for _ in range(2):
+            rank(backend, prefix, ["add", "addAll", "clear"], rank_vocab)
+        eval_vocab, backend = fixture_vocab_and_backend()
+        dataset = load_dataset("fixtures/smoke.jsonl")
+        evaluate(["treeranker", "beamall"], dataset, backend, eval_vocab)
+        argv = ["rank", "--backend", "mock:fixtures/mockspec.json", "--vocab", "fixtures/vocab.tsv"]
+        assert main([*argv, "fixtures/prefix.txt", "add", "addAll", "clear"]) == 0
+        capsys.readouterr()
+        assert len(builds) == 3
+        assert builds[0] is rank_vocab and builds[1] is eval_vocab
+        assert builds[2] not in (rank_vocab, eval_vocab)
 
     @given(st.lists(st.text(alphabet="ab", min_size=1, max_size=4), min_size=1, max_size=12))
     def test_symmetry_brute_force(self, texts):
