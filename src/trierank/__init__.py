@@ -17,30 +17,13 @@ from .backend import (
     SeededBackend,
     mock_backend_from_spec,
     next_distribution,
-    random_mock_spec,
 )
 from .baselines import BeamAllScore, beam_all, beam_search, filter_to_candidates, greedy_complete
 from .dataset import CompletionPoint, LoadedDataset, load_dataset
 from .errors import TrierankError
 from .metrics import exact_match_rate, mrr, recall_at_k, token_efficiency
-from .ranking import (
-    DecodeConfig,
-    DecodeStats,
-    RankedCompletion,
-    ScoreTraces,
-    build_allowed_set,
-    rank,
-    ranking_record,
-    record_step,
-)
-from .tree import CompletionTree, TreeNode, build_tree, unique_candidate
-from .vocab import (
-    SubtokenMap,
-    TokenSeq,
-    Vocabulary,
-    build_subtoken_map,
-    full_subtoken_map,
-    greedy_tokenize,
-)
+from .ranking import DecodeConfig, DecodeStats, RankedCompletion, rank, ranking_record
+from .tree import CompletionTree, TreeNode, build_tree
+from .vocab import SubtokenMap, TokenSeq, Vocabulary, full_subtoken_map, greedy_tokenize
 
 __version__ = "0.1.0"

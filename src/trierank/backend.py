@@ -82,15 +82,13 @@ class ModelBackend:
         table = self.raw_distribution(context)
         if allowed is not None:
             probs = _restrict(table, allowed)
-            if query:
-                for q in sorted(query):
-                    probs.setdefault(q, 0.0)
-            return Distribution(probs, _argmax({t: probs[t] for t in allowed}))
-        probs = dict(table)
-        if query:
-            for q in sorted(query):
-                probs.setdefault(q, 0.0)
-        return Distribution(probs, _argmax(table))
+            argmax = _argmax({t: probs[t] for t in allowed})
+        else:
+            probs = dict(table)
+            argmax = _argmax(table)
+        for q in sorted(query or ()):
+            probs.setdefault(q, 0.0)
+        return Distribution(probs, argmax)
 
     def session(self) -> "ModelBackend":
         """Per-completion-point handle; immutable backends may share self."""
@@ -142,17 +140,14 @@ class MockBackend(ModelBackend):
             self.contexts[key] = _check_table(dict(table), f"suffix {key}")
         self.max_context = max_context
 
-    def table_for(self, context: Sequence[int]) -> dict[int, float]:
+    def raw_distribution(self, context: Sequence[int]) -> dict[int, float]:
+        if self.max_context is not None and len(context) > self.max_context:
+            raise ContextTooLong(f"context of {len(context)} tokens exceeds {self.max_context}")
         for n in range(min(MAX_SUFFIX_KEY, len(context)), 0, -1):
             table = self.contexts.get(tuple(context[-n:]))
             if table is not None:
                 return table
         return self.default
-
-    def raw_distribution(self, context: Sequence[int]) -> dict[int, float]:
-        if self.max_context is not None and len(context) > self.max_context:
-            raise ContextTooLong(f"context of {len(context)} tokens exceeds {self.max_context}")
-        return self.table_for(context)
 
 
 def _check_table(table: dict[int, float], where: str) -> dict[int, float]:
@@ -174,7 +169,10 @@ def mock_backend_from_spec(spec, vocab: Vocabulary | None = None) -> MockBackend
          "max_context": 512}
     """
     if isinstance(spec, (str, Path)):
-        spec = json.loads(Path(spec).read_text(encoding="utf-8"))
+        try:
+            spec = json.loads(Path(spec).read_text(encoding="utf-8"))
+        except ValueError as exc:  # undecodable bytes or invalid JSON
+            raise MalformedSpec(f"not a JSON spec: {exc}") from None
     if not isinstance(spec, dict):
         raise MalformedSpec("spec must be a mapping or a path to one")
     if "default" not in spec:
@@ -185,44 +183,32 @@ def mock_backend_from_spec(spec, vocab: Vocabulary | None = None) -> MockBackend
             return token
         if vocab is None:
             raise MalformedSpec(f"token {token!r} given by text but no vocabulary supplied")
-        if token not in vocab.ids:
+        if not isinstance(token, str) or token not in vocab.ids:
             raise MalformedSpec(f"unknown token text {token!r}")
         return vocab.ids[token]
 
     def to_table(raw) -> dict[int, float]:
         if not isinstance(raw, Mapping):
             raise MalformedSpec(f"expected a probability table, got {type(raw).__name__}")
-        return {to_id(t): float(p) for t, p in raw.items()}
+        try:
+            return {to_id(t): float(p) for t, p in raw.items()}
+        except (TypeError, ValueError):
+            raise MalformedSpec(f"non-numeric probability in {dict(raw)!r}") from None
 
+    entries, max_context = spec.get("contexts", []), spec.get("max_context")
+    if not isinstance(entries, list):
+        raise MalformedSpec("spec contexts must be a list")
+    if max_context is not None and not isinstance(max_context, int):
+        raise MalformedSpec(f"max_context must be an integer, not {max_context!r}")
     contexts: dict[tuple[int, ...], dict[int, float]] = {}
-    for entry in spec.get("contexts", []):
+    for entry in entries:
+        if not isinstance(entry, Mapping) or not isinstance(entry.get("suffix"), list):
+            raise MalformedSpec(f"context entry {entry!r} needs a suffix list")
         suffix = tuple(to_id(t) for t in entry["suffix"])
         if suffix in contexts:
             raise MalformedSpec(f"duplicate suffix {suffix}")
-        contexts[suffix] = to_table(entry["probs"])
-    return MockBackend(to_table(spec["default"]), contexts, spec.get("max_context"))
-
-
-def random_mock_spec(vocab: Vocabulary, seed: int, n_contexts: int = 8) -> dict:
-    """Generate a table-model description deterministically from ``seed``."""
-    rng = random.Random(seed)
-    texts = list(vocab.texts)
-
-    def table() -> dict[str, float]:
-        support = rng.sample(texts, k=min(len(texts), rng.randint(2, 6)))
-        weights = [rng.random() for _ in support]
-        total = sum(weights)
-        return {t: w / total for t, w in zip(support, weights)}
-
-    contexts = []
-    seen: set[tuple[str, ...]] = set()
-    for _ in range(n_contexts):
-        suffix = tuple(rng.sample(texts, k=rng.randint(1, min(2, len(texts)))))
-        if suffix in seen:
-            continue
-        seen.add(suffix)
-        contexts.append({"suffix": list(suffix), "probs": table()})
-    return {"default": table(), "contexts": contexts}
+        contexts[suffix] = to_table(entry.get("probs"))
+    return MockBackend(to_table(spec["default"]), contexts, max_context)
 
 
 class SeededBackend(ModelBackend):

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .backend import ModelBackend, next_distribution
-from .tree import CompletionTree, TreeNode
+from .tree import CompletionTree
 from .vocab import TokenSeq, Vocabulary, identifier_prefix
 
 
@@ -128,19 +128,20 @@ def beam_all(
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
     sums: dict[int, float] = {}
-
-    def visit(node: TreeNode, context: list[int], acc: float) -> None:
+    # Pre-order with children in ascending token-id order fixes the backend's
+    # request sequence; an explicit stack keeps deep trees off the recursion limit.
+    stack = [(tree.root, list(prefix.ids), 0.0)]
+    while stack:
+        node, context, acc = stack.pop()
         if node.is_leaf:
-            return
+            continue
         dist = next_distribution(backend, context, query=node.children.keys())
-        for t in sorted(node.children):
+        for t in sorted(node.children, reverse=True):
             child = node.children[t]
             total = acc + _log(dist.probs[t])
             if child.terminal_for is not None:
                 sums[child.terminal_for] = total
-            visit(child, context + [t], total)
-
-    visit(tree.root, list(prefix.ids), 0.0)
+            stack.append((child, context + [t], total))
 
     scores = []
     for cand, ident in enumerate(tree.identifiers):

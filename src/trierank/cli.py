@@ -71,7 +71,7 @@ _FILE_KEYS = {
 def read_text(path, what: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {what}: {exc}") from None
 
 
@@ -124,7 +124,7 @@ def load_vocab(config: RunConfig) -> Vocabulary:
         raise ConfigError("--vocab is required")
     try:
         return Vocabulary.load(config.vocab_path)
-    except (OSError, TrierankError) as exc:
+    except (OSError, UnicodeDecodeError, TrierankError) as exc:
         raise ConfigError(f"cannot load vocabulary: {exc}") from None
 
 
@@ -150,7 +150,7 @@ def build_backend(config: RunConfig, vocab: Vocabulary) -> ModelBackend:
 def load_points(path) -> LoadedDataset:
     try:
         dataset = load_dataset(path)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read dataset: {exc}") from None
     if not len(dataset):
         raise ConfigError(f"dataset {path} has no valid points")
@@ -235,11 +235,15 @@ def cmd_stats(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    def load(path):
+    def load(path) -> dict:
         try:
-            return json.loads(read_text(path, "report"))
+            report = json.loads(read_text(path, "report"))
         except json.JSONDecodeError as exc:
             raise ConfigError(f"cannot read report {path}: {exc}") from None
+        rows = report.get("strategies", {}) if isinstance(report, dict) else None
+        if not isinstance(rows, dict) or not all(isinstance(r, dict) for r in rows.values()):
+            raise ConfigError(f"report {path} does not map strategies to metric objects")
+        return report
 
     a, b = load(args.report_a), load(args.report_b)
     strategies = sorted(set(a.get("strategies", {})) & set(b.get("strategies", {})))

@@ -34,7 +34,6 @@ class CompletionPoint:
 class LoadedDataset:
     points: list[CompletionPoint]
     warnings: list[str]
-    path: str | None = None
 
     def __iter__(self):
         return iter(self.points)
@@ -73,9 +72,11 @@ def point_from_record(record: dict) -> tuple[CompletionPoint, list[str]]:
         seen.add(c)
         candidates.append(c)
 
-    baselines: dict[str, list[str]] = {}
-    for name, ranking in (record.get("baselines") or {}).items():
-        baselines[name] = _string_list(ranking, f"baselines.{name}")
+    baselines = record.get("baselines") or {}
+    if not isinstance(baselines, dict):
+        raise SchemaError("baselines", "expected an object")
+    for name, ranking in baselines.items():
+        _string_list(ranking, f"baselines.{name}")
 
     meta = record.get("meta") or {}
     if not isinstance(meta, dict):
@@ -119,4 +120,4 @@ def load_dataset(path, strict: bool = False) -> LoadedDataset:
             continue
         warnings.extend(f"line {lineno}: {n}" for n in notes)
         points.append(point)
-    return LoadedDataset(points, warnings, str(path))
+    return LoadedDataset(points, warnings)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 from .backend import LogitMask, ModelBackend, next_distribution
 from .errors import EmptyCandidateList, EmptyMask, MissingChildProbability
-from .tree import TreeNode, build_tree, unique_candidate
+from .tree import TreeNode, build_tree
 from .vocab import SubtokenMap, TokenSeq, Vocabulary, full_subtoken_map
 
 
@@ -66,33 +66,9 @@ class RankedCompletion:
         return (self.scored_len, self.last_prob)
 
 
-class ScoreTraces:
-    """Per-candidate sequences of scored token probabilities."""
-
-    def __init__(self, n_candidates: int):
-        self.probs: list[list[float]] = [[] for _ in range(n_candidates)]
-
-    def append_for(self, members, p: float) -> None:
-        for i in members:
-            self.probs[i].append(p)
-
-    def override_last(self, members, p: float) -> None:
-        for i in members:
-            self.probs[i][-1] = p
-
-    def length(self, i: int) -> int:
-        return len(self.probs[i])
-
-    def last(self, i: int) -> float:
-        return self.probs[i][-1]
-
-    def trace(self, i: int) -> tuple[float, ...]:
-        return tuple(self.probs[i])
-
-
-def allowed_tokens(
+def build_allowed_set(
     node: TreeNode, submap: SubtokenMap, vocab: Vocabulary, config: DecodeConfig
-) -> frozenset[int]:
+) -> LogitMask:
     """Tokens admissible at ``node``: child mains, their subtokens, and — at a
     terminal node, when configured — identifier-ending tokens."""
     allowed: set[int] = set(node.children)
@@ -100,26 +76,19 @@ def allowed_tokens(
         allowed |= submap.subtokens_of(t)
     if node.terminal_for is not None and config.include_termination_mass:
         allowed |= vocab.termination_ids()
-    return frozenset(allowed)
-
-
-def build_allowed_set(
-    node: TreeNode, submap: SubtokenMap, vocab: Vocabulary, config: DecodeConfig
-) -> LogitMask:
-    allowed = allowed_tokens(node, submap, vocab, config)
     if not allowed:
         raise EmptyMask("childless terminal node with termination handling off")
-    return LogitMask(allowed)
+    return LogitMask(frozenset(allowed))
 
 
-def record_step(traces: ScoreTraces, node: TreeNode, dist) -> ScoreTraces:
+def record_step(traces: list[list[float]], node: TreeNode, dist) -> None:
     """Append each child edge's probability to the traces of its members."""
     for t in sorted(node.children):
         p = dist.probs.get(t)
         if p is None:
             raise MissingChildProbability(f"distribution lacks child token {t}")
-        traces.append_for(node.children[t].members, p)
-    return traces
+        for i in node.children[t].members:
+            traces[i].append(p)
 
 
 def rank(
@@ -139,19 +108,19 @@ def rank(
     config = config or DecodeConfig()
     submap = submap or full_subtoken_map(vocab)
     tree = build_tree(candidates, vocab)
-    traces = ScoreTraces(len(candidates))
+    traces: list[list[float]] = [[] for _ in candidates]
     stats = DecodeStats()
     termination = vocab.termination_ids()
     context = list(prefix.ids)
     node = tree.root
 
     while stats.steps_taken < config.max_steps:
-        if config.early_stop and stats.steps_taken > 0:
-            sole = unique_candidate(node)
+        if config.early_stop and stats.steps_taken > 0 and len(node.members) == 1:
+            (sole,) = node.members
             # Stop only once the survivor already leads the ranking; after a
             # main-token push it may trail a sibling until its next token is
             # scored, and stopping then would not commute with running on.
-            if sole is not None and _is_rank_maximal(sole, traces):
+            if _is_rank_maximal(sole, traces):
                 stats.identified = sole
                 stats.early_stopped = True
                 break
@@ -159,15 +128,13 @@ def rank(
             stats.identified = node.terminal_for
             break
 
+        mask = build_allowed_set(node, submap, vocab, config)
         if config.constrained:
-            mask = build_allowed_set(node, submap, vocab, config)
             dist = next_distribution(backend, context, mask)
         else:
             # Unmasked; the admissible set is still queried so child
             # probabilities and any selected subtoken's mass are reported.
-            dist = next_distribution(
-                backend, context, query=allowed_tokens(node, submap, vocab, config)
-            )
+            dist = next_distribution(backend, context, query=mask.allowed)
         record_step(traces, node, dist)
         stats.steps_taken += 1
         pick = dist.argmax
@@ -200,7 +167,8 @@ def rank(
         if len(shared) >= 2:
             node = tree.split_on_subtoken(node, pick)
             stats.splits += 1
-            traces.override_last(node.members, dist.probs[pick])
+            for i in node.members:
+                traces[i][-1] = dist.probs[pick]
             context.append(pick)
             stats.committed_tokens.append(pick)
             continue
@@ -210,27 +178,24 @@ def rank(
         break
 
     ranked = rank_from_traces(traces, tree.identifiers)
-    stats.traces = [traces.trace(i) for i in range(len(candidates))]
+    stats.traces = [tuple(trace) for trace in traces]
     return ranked, stats
 
 
-def _is_rank_maximal(candidate: int, traces: ScoreTraces) -> bool:
-    key = (traces.length(candidate), traces.last(candidate))
-    for other in range(len(traces.probs)):
+def _is_rank_maximal(candidate: int, traces: list[list[float]]) -> bool:
+    key = (len(traces[candidate]), traces[candidate][-1])
+    for other, trace in enumerate(traces):
         if other == candidate:
             continue
-        other_key = (traces.length(other), traces.last(other))
+        other_key = (len(trace), trace[-1])
         if other_key > key or (other_key == key and other < candidate):
             return False
     return True
 
 
-def rank_from_traces(traces: ScoreTraces, identifiers: list[str]) -> list[RankedCompletion]:
-    keys = []
-    for i in range(len(identifiers)):
-        length = traces.length(i)
-        assert length >= 1, "every candidate is scored at the first step"
-        keys.append((length, traces.last(i)))
+def rank_from_traces(traces: list[list[float]], identifiers: list[str]) -> list[RankedCompletion]:
+    assert all(traces), "every candidate is scored at the first step"
+    keys = [(len(trace), trace[-1]) for trace in traces]
     # Stable descending sort: a longer scored path wins, equal lengths fall
     # back to the last probability, fully equal keys keep candidate order.
     order = sorted(range(len(identifiers)), key=lambda i: keys[i], reverse=True)

@@ -43,21 +43,9 @@ class RemoteBackend(ModelBackend):
     def session(self) -> "RemoteBackend":
         return RemoteBackend(self.endpoint, self.timeout)
 
-    def raw_distribution(self, context):
-        raise NotImplementedError("remote backends answer via next_distribution only")
-
     def next_distribution(self, context, allowed=None, query=None) -> Distribution:
         payload = {
             "context_tokens": list(context),
-            "allowed": sorted(allowed) if allowed is not None else None,
-            "query": sorted(query) if query else None,
-        }
-        return self._request(payload)
-
-    def text_distribution(self, context_text: str, allowed=None, query=None) -> Distribution:
-        """Ask the server to tokenize the context itself."""
-        payload = {
-            "context_text": context_text,
             "allowed": sorted(allowed) if allowed is not None else None,
             "query": sorted(query) if query else None,
         }

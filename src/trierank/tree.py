@@ -28,19 +28,12 @@ class TreeNode:
         return not self.children
 
 
-def unique_candidate(node: TreeNode) -> int | None:
-    """The single candidate below ``node``, if the subtree holds exactly one."""
-    if len(node.members) == 1:
-        return next(iter(node.members))
-    return None
-
-
 class CompletionTree:
     """Trie of the greedy token sequences of a candidate list.
 
     ``token_seqs`` tracks each candidate's *current* tokenization, which may
     change when branches are split and suffixes re-tokenized; ``identifiers``
-    never changes. ``version`` counts structural changes (one per split).
+    never changes.
     """
 
     def __init__(self, identifiers: list[str], vocab: Vocabulary):
@@ -55,7 +48,6 @@ class CompletionTree:
         self.vocab = vocab
         self.token_seqs: list[TokenSeq] = [greedy_tokenize(c, vocab) for c in identifiers]
         self.root = TreeNode()
-        self.version = 0
         for idx, seq in enumerate(self.token_seqs):
             self._insert(idx, seq.ids)
 
@@ -67,15 +59,6 @@ class CompletionTree:
             node.members.add(candidate)
         assert node.terminal_for is None, "distinct identifiers cannot share a token path"
         node.terminal_for = candidate
-
-    def node_for(self, tokens) -> TreeNode | None:
-        """Descend from the root along ``tokens``; None when the path is absent."""
-        node = self.root
-        for t in tokens:
-            node = node.children.get(t)
-            if node is None:
-                return None
-        return node
 
     def split_on_subtoken(self, node: TreeNode, subtoken: int) -> TreeNode:
         """Insert ``subtoken`` as an intermediate child of ``node``.
@@ -123,7 +106,6 @@ class CompletionTree:
             new_texts = tuple(self.vocab.texts[i] for i in new_ids)
             self.token_seqs[cand] = TokenSeq(new_ids, new_texts)
             self._insert(cand, tail.ids, base=target)
-        self.version += 1
         return target
 
     def main_token_push(self, node: TreeNode, subtoken: int, submap: SubtokenMap) -> int | None:
@@ -136,14 +118,12 @@ class CompletionTree:
     def spelled_identifiers(self) -> set[str]:
         """Identifier strings readable from root-to-terminal paths."""
         out: set[str] = set()
-
-        def walk(node: TreeNode, text: str) -> None:
+        stack = [(self.root, "")]
+        while stack:
+            node, text = stack.pop()
             if node.terminal_for is not None:
                 out.add(text)
-            for t, child in node.children.items():
-                walk(child, text + self.vocab.texts[t])
-
-        walk(self.root, "")
+            stack.extend((child, text + self.vocab.texts[t]) for t, child in node.children.items())
         return out
 
     def walk(self) -> Iterator[TreeNode]:
@@ -158,8 +138,9 @@ class CompletionTree:
     def dump(self) -> str:
         """Deterministic text rendering for golden-file tests."""
         lines: list[str] = []
-
-        def render(node: TreeNode, depth: int) -> None:
+        stack = [(self.root, 0)]
+        while stack:
+            node, depth = stack.pop()
             if node.edge_token is None:
                 label = "<root>"
             else:
@@ -167,10 +148,7 @@ class CompletionTree:
             members = ",".join(str(m) for m in sorted(node.members))
             terminal = "" if node.terminal_for is None else f" terminal={node.terminal_for}"
             lines.append(f"{'  ' * depth}{label} members={{{members}}}{terminal}")
-            for t in sorted(node.children):
-                render(node.children[t], depth + 1)
-
-        render(self.root, 0)
+            stack.extend((node.children[t], depth + 1) for t in sorted(node.children, reverse=True))
         return "\n".join(lines)
 
 

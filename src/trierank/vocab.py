@@ -20,10 +20,6 @@ from .errors import ParseError, UncoverableText
 IDENTIFIER_CHARS = frozenset(string.ascii_letters + string.digits + "_")
 
 
-def is_identifier_char(ch: str) -> bool:
-    return ch in IDENTIFIER_CHARS
-
-
 def identifier_prefix(text: str) -> str:
     """Maximal leading run of identifier characters of ``text``."""
     for i, ch in enumerate(text):
@@ -62,12 +58,6 @@ class Vocabulary:
     def size(self) -> int:
         return len(self.texts)
 
-    def __len__(self) -> int:
-        return len(self.texts)
-
-    def __contains__(self, text: str) -> bool:
-        return text in self.ids
-
     def id(self, text: str) -> int:
         return self.ids[text]
 
@@ -75,7 +65,7 @@ class Vocabulary:
         """Ids of tokens that can end an identifier (first char not [A-Za-z0-9_])."""
         if self._termination_ids is None:
             self._termination_ids = frozenset(
-                i for i, t in enumerate(self.texts) if not is_identifier_char(t[0])
+                i for i, t in enumerate(self.texts) if t[0] not in IDENTIFIER_CHARS
             )
         return self._termination_ids
 

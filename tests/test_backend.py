@@ -10,7 +10,6 @@ from trierank import (
     Vocabulary,
     mock_backend_from_spec,
     next_distribution,
-    random_mock_spec,
 )
 from trierank.errors import ContextTooLong, MalformedSpec
 
@@ -112,12 +111,6 @@ class TestSpecParsing:
         path.write_text('{"default": {"a": 0.9, "b": 0.1}}', encoding="utf-8")
         backend = mock_backend_from_spec(str(path), vocab)
         assert next_distribution(backend, [0]).argmax == vocab.id("a")
-
-
-def test_random_spec_generator_is_deterministic():
-    vocab = Vocabulary.from_texts(list("abcdef"))
-    assert random_mock_spec(vocab, seed=7) == random_mock_spec(vocab, seed=7)
-    assert random_mock_spec(vocab, seed=7) != random_mock_spec(vocab, seed=8)
 
 
 def test_seeded_backend_bitwise_determinism():

@@ -247,29 +247,65 @@ class TestCompare:
         assert code == EXIT_CONFIG
 
 
+class File:
+    """An argument naming a fresh file: JSON for a dict or list, raw bytes
+    otherwise; ``scheme`` is put in front of the path."""
+
+    def __init__(self, content, scheme=""):
+        self.content, self.scheme = content, scheme
+
+    def write(self, path) -> str:
+        raw = self.content if isinstance(self.content, bytes) else json.dumps(self.content).encode()
+        path.write_bytes(raw)
+        return self.scheme + str(path)
+
+
+PREFIX = f"{FIX}/prefix.txt"
+
+
+def mock(spec) -> list:
+    """A ``--backend`` flag naming a mock spec file that holds ``spec``."""
+    return ["--backend", File(spec, "mock:")]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
-        ["rank", *BASE, "--max-steps", "0", f"{FIX}/prefix.txt", "add"],
-        ["rank", *BASE, "--alpha", "-1", "--strategy", "beamall", f"{FIX}/prefix.txt", "add"],
+        ["rank", *BASE, "--max-steps", "0", PREFIX, "add"],
+        ["rank", *BASE, "--alpha", "-1", "--strategy", "beamall", PREFIX, "add"],
         ["eval", *BASE, "--jobs", "0", f"{FIX}/smoke.jsonl"],
         ["rank", *BASE, f"{FIX}/missing-prefix.txt", "add"],
-        ["rank", *BASE, "--candidates-file", f"{FIX}/missing.txt", f"{FIX}/prefix.txt"],
+        ["rank", *BASE, "--candidates-file", f"{FIX}/missing.txt", PREFIX],
         ["eval", *BASE, f"{FIX}/missing.jsonl"],
-        ["eval", *BASE, "--config", {"first_token_ms": "x"}, f"{FIX}/smoke.jsonl"],
-        ["eval", *BASE, "--config", {"strategies": "greedy"}, f"{FIX}/smoke.jsonl"],
+        ["eval", *BASE, "--config", File({"first_token_ms": "x"}), f"{FIX}/smoke.jsonl"],
+        ["eval", *BASE, "--config", File({"strategies": "greedy"}), f"{FIX}/smoke.jsonl"],
+        ["rank", *BASE, File(b"x\xff."), "add"],
+        ["eval", *BASE, File(b'{"id": "\xff"}\n')],
+        ["rank", *BASE, "--vocab", File(b"0\tadd\n1\t\xff\n"), PREFIX, "add"],
+        ["rank", *BASE, *mock({"default": {"add": "x"}}), PREFIX, "add"],
+        ["rank", *BASE, *mock({"default": {"add": 1}, "contexts": [{"probs": {}}]}), PREFIX, "add"],
+        ["rank", *BASE, *mock(b"{"), PREFIX, "add"],
+        ["rank", *BASE, *mock({"default": {"add": 1}, "contexts": 5}), PREFIX, "add"],
+        [
+            "rank", *BASE,
+            *mock({"default": {"add": 1}, "contexts": [{"suffix": [["."]], "probs": {"add": 1}}]}),
+            PREFIX, "add",
+        ],
+        ["rank", *BASE, *mock({"default": {"add": 1}, "max_context": "x"}), PREFIX, "add"],
+        ["compare", File([]), File([])],
+        ["compare", File({"strategies": ["x"]}), File({"strategies": ["x"]})],
     ],
     ids=[
         "max-steps-0", "negative-alpha", "jobs-0", "prefix-file", "candidates-file", "dataset",
-        "config-string-number", "config-string-strategies",
+        "config-string-number", "config-string-strategies", "prefix-not-utf8",
+        "dataset-not-utf8", "vocab-not-utf8", "spec-non-numeric-probability",
+        "spec-context-without-suffix", "spec-invalid-json", "spec-contexts-not-a-list",
+        "spec-unhashable-token", "spec-max-context-not-an-integer", "report-is-a-list",
+        "report-strategies-is-a-list",
     ],
 )
 def test_invalid_input_exits_2_with_one_error_line(capsys, tmp_path, argv):
-    argv, cfg = list(argv), tmp_path / "cfg.json"
-    for i, arg in enumerate(argv):
-        if isinstance(arg, dict):  # stands for a config file holding it
-            cfg.write_text(json.dumps(arg), encoding="utf-8")
-            argv[i] = str(cfg)
+    argv = [a.write(tmp_path / f"arg{i}") if isinstance(a, File) else a for i, a in enumerate(argv)]
     code, out, err = run(capsys, *argv)
     assert code == EXIT_CONFIG
     assert out == ""

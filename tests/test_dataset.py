@@ -71,6 +71,16 @@ def test_baselines_and_meta_parsed(tmp_path):
     assert loaded.points[0].meta["repo"] == "r"
 
 
+def test_baselines_list_rejected(tmp_path):
+    path = write_jsonl(tmp_path, [point(), point(id="p2", baselines=["intellij"])])
+    loaded = load_dataset(path)
+    assert [p.id for p in loaded] == ["p1"]
+    assert loaded.warnings == ["line 2: rejected (field 'baselines': expected an object)"]
+    with pytest.raises(SchemaError) as err:
+        load_dataset(path, strict=True)
+    assert err.value.field == "baselines"
+
+
 @pytest.mark.parametrize(
     "mutation,field",
     [

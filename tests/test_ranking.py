@@ -6,19 +6,16 @@ from trierank import (
     CountingBackend,
     Distribution,
     MockBackend,
-    ScoreTraces,
     SeededBackend,
     Vocabulary,
-    build_allowed_set,
     build_tree,
     full_subtoken_map,
     greedy_tokenize,
     rank,
     ranking_record,
-    record_step,
 )
 from trierank.errors import EmptyCandidateList, EmptyMask, MissingChildProbability
-from trierank.ranking import DecodeConfig, rank_from_traces
+from trierank.ranking import DecodeConfig, build_allowed_set, rank_from_traces, record_step
 from trierank.tree import CompletionTree, TreeNode
 
 from support import branch_following_backend, random_model
@@ -181,36 +178,29 @@ class TestRecordStep:
     def test_root_recording(self, worked_vocab, worked_candidates):
         t = worked_vocab.id
         tree = build_tree(worked_candidates, worked_vocab)
-        traces = ScoreTraces(3)
+        traces = [[], [], []]
         record_step(traces, tree.root, Distribution({t("add"): 0.6, t("clear"): 0.3}, t("add")))
-        assert traces.trace(0) == (0.6,)
-        assert traces.trace(1) == (0.6,)
-        assert traces.trace(2) == (0.3,)
+        assert traces == [[0.6], [0.6], [0.3]]
         add_node = tree.root.children[t("add")]
         record_step(traces, add_node, Distribution({t("All"): 0.5}, t("All")))
-        assert traces.trace(1) == (0.6, 0.5)
-        assert traces.trace(0) == (0.6,)
-        assert traces.trace(2) == (0.3,)
+        assert traces == [[0.6], [0.6, 0.5], [0.3]]
 
     def test_leaf_is_noop(self, worked_vocab, worked_candidates):
         tree = build_tree(worked_candidates, worked_vocab)
         leaf = tree.root.children[worked_vocab.id("clear")]
-        traces = ScoreTraces(3)
+        traces = [[], [], []]
         record_step(traces, leaf, Distribution({}, 0))
-        assert all(traces.trace(i) == () for i in range(3))
+        assert traces == [[], [], []]
 
     def test_missing_child_probability(self, worked_vocab, worked_candidates):
         tree = build_tree(worked_candidates, worked_vocab)
         with pytest.raises(MissingChildProbability):
-            record_step(ScoreTraces(3), tree.root, Distribution({worked_vocab.id("add"): 1.0}, 0))
+            record_step([[], [], []], tree.root, Distribution({worked_vocab.id("add"): 1.0}, 0))
 
 
 def ranked_order(*traces):
     """Candidate indices in ranked order for the given per-candidate traces."""
-    scores = ScoreTraces(len(traces))
-    for i, trace in enumerate(traces):
-        for p in trace:
-            scores.append_for([i], p)
+    scores = [list(trace) for trace in traces]
     return [rc.candidate for rc in rank_from_traces(scores, [f"c{i}" for i in range(len(traces))])]
 
 
@@ -288,11 +278,11 @@ class TestDecodeProperties:
         real = ranking_module.record_step
 
         def checked(traces, node, dist):
-            before = [len(t) for t in traces.probs]
+            before = [len(t) for t in traces]
             result = real(traces, node, dist)
             under_children = set().union(*(c.members for c in node.children.values()), set())
             for i, prior in enumerate(before):
-                grew = len(traces.probs[i]) - prior
+                grew = len(traces[i]) - prior
                 assert grew in (0, 1)
                 assert grew == (1 if i in under_children else 0)
             return result

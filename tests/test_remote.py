@@ -43,15 +43,17 @@ def test_remote_query_ids_reported(served):
     assert dist.probs[vocab.id("x")] == 0.0
 
 
+def post(endpoint: str, payload: dict) -> dict:
+    request = urllib.request.Request(
+        endpoint, data=json.dumps(payload).encode(), headers={"Content-Type": "application/json"}
+    )
+    return json.loads(urllib.request.urlopen(request).read())
+
+
 def test_wire_format_fields(served):
     vocab, _, remote = served
-    payload = json.dumps(
-        {"context_tokens": [vocab.id(".")], "allowed": None, "query": None}
-    ).encode()
-    request = urllib.request.Request(
-        remote.endpoint, data=payload, headers={"Content-Type": "application/json"}
-    )
-    body = json.loads(urllib.request.urlopen(request).read())
+    payload = {"context_tokens": [vocab.id(".")], "allowed": None, "query": None}
+    body = post(remote.endpoint, payload)
     assert set(body) == {"probs", "argmax"}
     assert all(isinstance(k, str) and k.isdigit() for k in body["probs"])
     assert isinstance(body["argmax"], int)
@@ -59,9 +61,10 @@ def test_wire_format_fields(served):
 
 def test_context_text_tokenized_server_side(served):
     vocab, local, remote = served
-    via_text = remote.text_distribution("x.")
+    body = post(remote.endpoint, {"context_text": "x.", "allowed": None, "query": None})
     via_ids = next_distribution(local, [vocab.id("x"), vocab.id(".")])
-    assert via_text.probs == via_ids.probs
+    assert {int(t): p for t, p in body["probs"].items()} == via_ids.probs
+    assert body["argmax"] == via_ids.argmax
 
 
 def test_context_too_long_maps_to_413(served):

@@ -1,10 +1,13 @@
 import pytest
 
 from trierank import (
+    CountingBackend,
+    SeededBackend,
     Vocabulary,
+    beam_all,
     build_tree,
     full_subtoken_map,
-    unique_candidate,
+    greedy_tokenize,
 )
 from trierank.errors import DuplicateCandidate, NotASharedPrefix
 
@@ -22,10 +25,16 @@ def assert_members_consistent(tree):
     assert walk(tree.root) == set(range(len(tree.identifiers)))
 
 
+def node_at(tree, tokens):
+    node = tree.root
+    for t in tokens:
+        node = node.children[t]
+    return node
+
+
 def assert_paths_spell_identifiers(tree):
     for i, ident in enumerate(tree.identifiers):
-        node = tree.node_for(tree.token_seqs[i].ids)
-        assert node is not None and node.terminal_for == i
+        assert node_at(tree, tree.token_seqs[i].ids).terminal_for == i
         assert "".join(tree.token_seqs[i].texts) == ident
 
 
@@ -93,17 +102,6 @@ class TestQueries:
         add = worked_tree.root.children[t("add")]
         assert continuations(add) == {t("All"): {1}}
 
-    def test_unique_candidate(self, worked_tree, worked_vocab):
-        t = worked_vocab.id
-        all_node = worked_tree.root.children[t("add")].children[t("All")]
-        assert unique_candidate(all_node) == 1
-        assert unique_candidate(worked_tree.root) is None
-
-    def test_unique_candidate_single_tree(self):
-        vocab = Vocabulary.from_texts(["x"])
-        tree = build_tree(["x"], vocab)
-        (child,) = tree.root.children.values()
-        assert unique_candidate(child) == 0
 
 
 SPLIT_TOKENS = ["isEmpty", "isDone", "is", "Empty", "Done", "i", "D", "E"]
@@ -122,7 +120,6 @@ class TestSplit:
         assert node.children[vocab.id("Done")].members == {1}
         assert tree.spelled_identifiers() == before
         assert tree.token_seqs[0].texts == ("is", "Empty")
-        assert tree.version == 1
         assert_members_consistent(tree)
         assert_paths_spell_identifiers(tree)
 
@@ -160,7 +157,7 @@ class TestSplit:
         vocab = Vocabulary.from_texts(["a", "b", "c", "d", "bc", "bd"])
         stem = "a" * 1500
         tree = build_tree([stem + "bc", stem + "bd"], vocab)
-        deep = tree.node_for(tree.token_seqs[0].ids[:1500])
+        deep = node_at(tree, tree.token_seqs[0].ids[:1500])
         node = tree.split_on_subtoken(deep, vocab.id("b"))
         assert node.members == {0, 1}
         assert tree.token_seqs[0].texts == ("a",) * 1500 + ("b", "c")
@@ -204,3 +201,22 @@ def test_dump_golden(worked_tree):
             "  'clear'(4) members={2} terminal=2",
         ]
     )
+
+
+def test_walks_handle_1500_token_paths():
+    # Two identifiers sharing 1,500 single-character tokens: every walk over
+    # the tree must go deeper than the interpreter's recursion limit.
+    vocab = Vocabulary.from_texts(["a", "b", "c", "d", "bc", "bd"])
+    idents = ["a" * 1500 + "bc", "a" * 1500 + "bd"]
+    tree = build_tree(idents, vocab)
+    assert tree.spelled_identifiers() == set(idents)
+    lines = tree.dump().split("\n")
+    assert len(lines) == 1503
+    assert lines[-2:] == [
+        "  " * 1501 + "'bc'(4) members={0} terminal=0",
+        "  " * 1501 + "'bd'(5) members={1} terminal=1",
+    ]
+    backend = CountingBackend(SeededBackend(vocab.size, 0))
+    scores = beam_all(backend, tree, greedy_tokenize("a", vocab))
+    assert {s.identifier for s in scores} == set(idents)
+    assert backend.calls == 1501
