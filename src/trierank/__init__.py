@@ -24,6 +24,6 @@ from .errors import TrierankError
 from .metrics import exact_match_rate, mrr, recall_at_k, token_efficiency
 from .ranking import DecodeConfig, DecodeStats, RankedCompletion, rank, ranking_record
 from .tree import CompletionTree, TreeNode, build_tree
-from .vocab import SubtokenMap, TokenSeq, Vocabulary, full_subtoken_map, greedy_tokenize
+from .vocab import TokenSeq, Vocabulary, full_subtoken_map, greedy_tokenize
 
 __version__ = "0.1.0"

@@ -82,7 +82,7 @@ class ModelBackend:
         table = self.raw_distribution(context)
         if allowed is not None:
             probs = _restrict(table, allowed)
-            argmax = _argmax({t: probs[t] for t in allowed})
+            argmax = _argmax(probs)
         else:
             probs = dict(table)
             argmax = _argmax(table)

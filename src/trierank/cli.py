@@ -181,6 +181,8 @@ def cmd_rank(args) -> int:
         deduped.append(c)
     if not deduped:
         raise ConfigError("no candidates given")
+    if "" in deduped:
+        raise ConfigError("empty candidate identifier")
     for c in deduped:
         if boundary_merged(prefix_text, c, vocab):
             print(
@@ -308,9 +310,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_stats.set_defaults(func=cmd_stats)
 
     p_cmp = sub.add_parser("compare", help="diff two report JSON files")
-    common(p_cmp)
     p_cmp.add_argument("report_a")
     p_cmp.add_argument("report_b")
+    p_cmp.add_argument("--out", help="output path for the deltas")
     p_cmp.set_defaults(func=cmd_compare)
 
     return parser

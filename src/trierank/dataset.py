@@ -5,10 +5,10 @@ Schema::
     {"id": str, "prefix": str, "candidates": [str], "ground_truth": str,
      "baselines": {name: [str]}?, "meta": {}?}
 
-Points whose ground truth is missing from the candidate list are rejected
-(the benchmarks guarantee membership); duplicate candidates are dropped
-first-occurrence-wins. By default bad lines become warnings with line
-numbers; ``strict=True`` raises instead.
+Points with an empty candidate, or whose ground truth is missing from the
+candidate list (the benchmarks guarantee membership), are rejected;
+duplicate candidates are dropped first-occurrence-wins. By default bad
+lines become warnings with line numbers; ``strict=True`` raises instead.
 """
 
 from __future__ import annotations
@@ -63,6 +63,8 @@ def point_from_record(record: dict) -> tuple[CompletionPoint, list[str]]:
     raw = _string_list(record["candidates"], "candidates")
     if not raw:
         raise SchemaError("candidates", "must be non-empty")
+    if "" in raw:
+        raise SchemaError("candidates", f"candidate {raw.index('')} is an empty identifier")
     candidates: list[str] = []
     seen: set[str] = set()
     for c in raw:

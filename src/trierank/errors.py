@@ -49,7 +49,7 @@ class EmptyCandidateList(TrierankError):
 
 
 class EmptyInput(TrierankError):
-    """Metric or evaluation requested over an empty collection."""
+    """A required input is empty: a metric or evaluation collection, a candidate identifier."""
 
 
 class ZeroGenerated(TrierankError):

@@ -20,9 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .backend import LogitMask, ModelBackend, next_distribution
-from .errors import EmptyCandidateList, EmptyMask, MissingChildProbability
+from .errors import EmptyCandidateList, EmptyMask, MissingChildProbability, NotASharedPrefix
 from .tree import TreeNode, build_tree
-from .vocab import SubtokenMap, TokenSeq, Vocabulary, full_subtoken_map
+from .vocab import TokenSeq, Vocabulary, full_subtoken_map
 
 
 @dataclass
@@ -67,13 +67,13 @@ class RankedCompletion:
 
 
 def build_allowed_set(
-    node: TreeNode, submap: SubtokenMap, vocab: Vocabulary, config: DecodeConfig
+    node: TreeNode, submap: tuple[tuple[int, ...], ...], vocab: Vocabulary, config: DecodeConfig
 ) -> LogitMask:
     """Tokens admissible at ``node``: child mains, their subtokens, and — at a
     terminal node, when configured — identifier-ending tokens."""
     allowed: set[int] = set(node.children)
     for t in node.children:
-        allowed |= submap.subtokens_of(t)
+        allowed.update(submap[t])
     if node.terminal_for is not None and config.include_termination_mass:
         allowed |= vocab.termination_ids()
     if not allowed:
@@ -97,7 +97,7 @@ def rank(
     candidates: list[str],
     vocab: Vocabulary,
     config: DecodeConfig | None = None,
-    submap: SubtokenMap | None = None,
+    submap: tuple[tuple[int, ...], ...] | None = None,
 ) -> tuple[list[RankedCompletion], DecodeStats]:
     """Rank ``candidates`` for ``prefix`` with one greedy decode; ``submap``
     defaults to the vocabulary's shared :func:`full_subtoken_map`."""
@@ -106,7 +106,7 @@ def rank(
     if len(prefix) == 0:
         raise ValueError("prefix must be non-empty")
     config = config or DecodeConfig()
-    submap = submap or full_subtoken_map(vocab)
+    submap = full_subtoken_map(vocab) if submap is None else submap
     tree = build_tree(candidates, vocab)
     traces: list[list[float]] = [[] for _ in candidates]
     stats = DecodeStats()
@@ -163,39 +163,36 @@ def rank(
             node = node.children[main]
             continue
 
-        shared = [m for m in submap.mains_of(pick) if m in node.children]
-        if len(shared) >= 2:
+        try:
             node = tree.split_on_subtoken(node, pick)
-            stats.splits += 1
-            for i in node.members:
-                traces[i][-1] = dist.probs[pick]
-            context.append(pick)
-            stats.committed_tokens.append(pick)
-            continue
-
-        assert not config.constrained, "masked argmax must resolve within the tree"
-        stats.off_tree_exit = True
-        break
+        except NotASharedPrefix:
+            assert not config.constrained, "masked argmax must resolve within the tree"
+            stats.off_tree_exit = True
+            break
+        stats.splits += 1
+        for i in node.members:
+            traces[i][-1] = dist.probs[pick]
+        context.append(pick)
+        stats.committed_tokens.append(pick)
 
     ranked = rank_from_traces(traces, tree.identifiers)
     stats.traces = [tuple(trace) for trace in traces]
     return ranked, stats
 
 
+def _ranking_key(trace: list[float] | tuple[float, ...]) -> tuple[int, float]:
+    """A longer scored path ranks higher; equal lengths compare the last probability."""
+    return (len(trace), trace[-1])
+
+
 def _is_rank_maximal(candidate: int, traces: list[list[float]]) -> bool:
-    key = (len(traces[candidate]), traces[candidate][-1])
-    for other, trace in enumerate(traces):
-        if other == candidate:
-            continue
-        other_key = (len(trace), trace[-1])
-        if other_key > key or (other_key == key and other < candidate):
-            return False
-    return True
+    # ``max`` keeps the first of equal keys, as the stable sort below does.
+    return max(range(len(traces)), key=lambda i: _ranking_key(traces[i])) == candidate
 
 
 def rank_from_traces(traces: list[list[float]], identifiers: list[str]) -> list[RankedCompletion]:
     assert all(traces), "every candidate is scored at the first step"
-    keys = [(len(trace), trace[-1]) for trace in traces]
+    keys = [_ranking_key(trace) for trace in traces]
     # Stable descending sort: a longer scored path wins, equal lengths fall
     # back to the last probability, fully equal keys keep candidate order.
     order = sorted(range(len(identifiers)), key=lambda i: keys[i], reverse=True)
@@ -214,15 +211,12 @@ def ranking_record(
     ranking key is read from its score trace. Strategies without a decode
     pass ``None`` and get ``null`` keys and statistics.
     """
-    traces = dict(zip(candidates, stats.traces)) if stats is not None else {}
+    traces = stats.traces if stats is not None else ()
+    keys = {c: _ranking_key(t) for c, t in zip(candidates, traces)}
     entries = [
-        {
-            "identifier": ident,
-            "rank": pos,
-            "scored_len": len(traces[ident]) if ident in traces else None,
-            "last_prob": traces[ident][-1] if ident in traces else None,
-        }
+        {"identifier": ident, "rank": pos, "scored_len": scored_len, "last_prob": last_prob}
         for pos, ident in enumerate(ranking, start=1)
+        for scored_len, last_prob in [keys.get(ident, (None, None))]
     ]
     summary = dict.fromkeys(("steps", "early_stopped", "splits", "pushes", "off_tree_exit"))
     if stats is not None:

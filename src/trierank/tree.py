@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .errors import DuplicateCandidate, NotASharedPrefix
-from .vocab import SubtokenMap, TokenSeq, Vocabulary, greedy_tokenize
+from .errors import DuplicateCandidate, EmptyInput, NotASharedPrefix
+from .vocab import TokenSeq, Vocabulary, greedy_tokenize
 
 
 @dataclass
@@ -40,7 +40,9 @@ class CompletionTree:
         if not identifiers:
             raise ValueError("candidate list must be non-empty")
         seen: set[str] = set()
-        for ident in identifiers:
+        for i, ident in enumerate(identifiers):
+            if not ident:
+                raise EmptyInput(f"candidate {i} is an empty identifier")
             if ident in seen:
                 raise DuplicateCandidate(ident)
             seen.add(ident)
@@ -108,9 +110,11 @@ class CompletionTree:
             self._insert(cand, tail.ids, base=target)
         return target
 
-    def main_token_push(self, node: TreeNode, subtoken: int, submap: SubtokenMap) -> int | None:
-        """The unique child main token the subtoken prefixes, if exactly one."""
-        matches = [m for m in submap.mains_of(subtoken) if m in node.children]
+    def main_token_push(
+        self, node: TreeNode, subtoken: int, submap: tuple[tuple[int, ...], ...]
+    ) -> int | None:
+        """The unique child main token the subtoken strictly prefixes, if exactly one."""
+        matches = [t for t in node.children if subtoken in submap[t]]
         if len(matches) == 1:
             return matches[0]
         return None

@@ -3,8 +3,8 @@
 A :class:`Vocabulary` is an immutable table of token texts with dense ids.
 :func:`greedy_tokenize` picks the longest matching token at every position,
 which is the deterministic token sequence the decoder optimistically follows.
-:class:`SubtokenMap` records which vocabulary tokens are strict prefixes of
-which others, so the decoder can admit and resolve partial-token selections.
+:func:`full_subtoken_map` lists the ids of the tokens that strictly prefix
+each token, so the decoder can admit and resolve partial-token selections.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 import string
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ParseError, UncoverableText
@@ -48,7 +48,7 @@ class Vocabulary:
         self.ids: dict[str, int] = seen
         self._max_len = max((len(t) for t in texts), default=0)
         self._termination_ids: frozenset[int] | None = None
-        self._subtoken_map: SubtokenMap | None = None
+        self._subtoken_map: tuple[tuple[int, ...], ...] | None = None
 
     @classmethod
     def from_texts(cls, texts) -> "Vocabulary":
@@ -158,46 +158,22 @@ def greedy_tokenize(text: str, vocab: Vocabulary) -> TokenSeq:
     return TokenSeq(tuple(ids), tuple(texts))
 
 
-@dataclass
-class SubtokenMap:
-    """Bidirectional strict-prefix relation between tokens.
-
-    ``by_main[m]`` holds every token whose text is a strict prefix of
-    ``texts[m]``; ``by_sub`` is the exact inverse.
-    """
-
-    by_main: dict[int, frozenset[int]] = field(default_factory=dict)
-    by_sub: dict[int, frozenset[int]] = field(default_factory=dict)
-
-    def subtokens_of(self, main_id: int) -> frozenset[int]:
-        return self.by_main.get(main_id, frozenset())
-
-    def mains_of(self, sub_id: int) -> frozenset[int]:
-        return self.by_sub.get(sub_id, frozenset())
-
-
-def build_subtoken_map(vocab: Vocabulary) -> SubtokenMap:
-    """Map every vocabulary token to the vocabulary tokens that strictly prefix it."""
-    by_main: dict[int, frozenset[int]] = {}
-    by_sub: dict[int, set[int]] = {}
+def build_subtoken_map(vocab: Vocabulary) -> tuple[tuple[int, ...], ...]:
+    """Per token id, the ids of the tokens that strictly prefix its text, shortest first."""
     lookup = vocab.ids
-    for m, text in enumerate(vocab.texts):
-        subs = []
-        for cut in range(1, len(text)):
-            s = lookup.get(text[:cut])
-            if s is not None:
-                subs.append(s)
-                by_sub.setdefault(s, set()).add(m)
-        by_main[m] = frozenset(subs)
-    return SubtokenMap(by_main, {s: frozenset(ms) for s, ms in by_sub.items()})
+    table = []
+    for text in vocab.texts:
+        subs = (lookup.get(text[:cut]) for cut in range(1, len(text)))
+        table.append(tuple(s for s in subs if s is not None))
+    return tuple(table)
 
 
 _SUBTOKEN_MAP_LOCK = threading.Lock()
 
 
-def full_subtoken_map(vocab: Vocabulary) -> SubtokenMap:
-    """The subtoken map of every token in ``vocab``, built once on first use
-    and kept on the vocabulary; safe to share across concurrent rankings."""
+def full_subtoken_map(vocab: Vocabulary) -> tuple[tuple[int, ...], ...]:
+    """:func:`build_subtoken_map` of ``vocab``, built once on first use and
+    kept on the vocabulary; safe to share across concurrent rankings."""
     if vocab._subtoken_map is None:
         with _SUBTOKEN_MAP_LOCK:
             if vocab._subtoken_map is None:

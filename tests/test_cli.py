@@ -85,6 +85,20 @@ class TestEval:
         assert set(report["strategies"]) == {"treeranker", "beamall"}
         assert out_path.with_suffix(".txt").exists()
 
+    def test_empty_candidate_line_rejected(self, capsys, tmp_path):
+        dataset = tmp_path / "data.jsonl"
+        lines = [
+            {"id": "g", "prefix": "x.", "candidates": ["add"], "ground_truth": "add"},
+            {"id": "e", "prefix": "x.", "candidates": ["", "add"], "ground_truth": "add"},
+        ]
+        dataset.write_text("".join(json.dumps(x) + "\n" for x in lines), encoding="utf-8")
+        out_path = tmp_path / "report.json"
+        code, _, err = run(capsys, "eval", *BASE, "--out", str(out_path), str(dataset))
+        assert code == EXIT_OK and err == ""
+        report = json.loads(out_path.read_text())
+        assert report["dataset"]["points"] == 1
+        assert any("line 2: rejected" in w and "empty identifier" in w for w in report["warnings"])
+
     def test_malformed_line_reported(self, capsys, tmp_path):
         dataset = tmp_path / "data.jsonl"
         good = json.dumps(
@@ -246,6 +260,13 @@ class TestCompare:
         code, _, _ = run(capsys, "compare", str(a), str(b))
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("flag", [["--runs", "0"], ["--backend", "bogus"], ["--config", "x"]])
+    def test_rejects_run_flags(self, capsys, flag):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["compare", *flag, "a.json", "b.json"])
+        assert exit_info.value.code == EXIT_CONFIG
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class File:
     """An argument naming a fresh file: JSON for a dict or list, raw bytes
@@ -272,6 +293,8 @@ def mock(spec) -> list:
     "argv",
     [
         ["rank", *BASE, "--max-steps", "0", PREFIX, "add"],
+        ["rank", *BASE, PREFIX, "", "add"],
+        ["rank", *BASE, "--strategy", "greedy", PREFIX, "add", ""],
         ["rank", *BASE, "--alpha", "-1", "--strategy", "beamall", PREFIX, "add"],
         ["eval", *BASE, "--jobs", "0", f"{FIX}/smoke.jsonl"],
         ["rank", *BASE, f"{FIX}/missing-prefix.txt", "add"],
@@ -296,7 +319,7 @@ def mock(spec) -> list:
         ["compare", File({"strategies": ["x"]}), File({"strategies": ["x"]})],
     ],
     ids=[
-        "max-steps-0", "negative-alpha", "jobs-0", "prefix-file", "candidates-file", "dataset",
+        "max-steps-0", "empty-candidate", "empty-candidate-greedy", "negative-alpha", "jobs-0", "prefix-file", "candidates-file", "dataset",
         "config-string-number", "config-string-strategies", "prefix-not-utf8",
         "dataset-not-utf8", "vocab-not-utf8", "spec-non-numeric-probability",
         "spec-context-without-suffix", "spec-invalid-json", "spec-contexts-not-a-list",

@@ -90,6 +90,7 @@ def test_baselines_list_rejected(tmp_path):
         (lambda r: r.pop("ground_truth"), "ground_truth"),
         (lambda r: r.update(candidates=[]), "candidates"),
         (lambda r: r.update(candidates=[1, 2]), "candidates"),
+        (lambda r: r.update(candidates=["", "add"]), "candidates"),
         (lambda r: r.update(id=7), "id"),
         (lambda r: r.update(meta=[1]), "meta"),
         (lambda r: r.update(baselines={"x": ["a", 3]}), "baselines.x"),

@@ -4,7 +4,13 @@ from pathlib import Path
 import pytest
 
 import trierank.evaluate
-from trierank import ModelBackend, Vocabulary, load_dataset, mock_backend_from_spec
+from trierank import (
+    CompletionPoint,
+    ModelBackend,
+    Vocabulary,
+    load_dataset,
+    mock_backend_from_spec,
+)
 from trierank.errors import ContextTooLong, EmptyInput
 from trierank.evaluate import EvalConfig, UnknownStrategy, evaluate, tree_statistics
 from trierank.ranking import DecodeConfig
@@ -110,6 +116,13 @@ class TestHarnessBehavior:
         vocab, backend, _ = fixture_env
         with pytest.raises(EmptyInput):
             evaluate("treeranker", [], backend, vocab)
+
+    @pytest.mark.parametrize("strategy", ["treeranker", "beamall"])
+    def test_empty_identifier_rejected(self, fixture_env, strategy):
+        vocab, backend, _ = fixture_env
+        point = CompletionPoint("e", "x.", ["", "add"], "add")
+        with pytest.raises(EmptyInput, match="empty identifier"):
+            evaluate(strategy, [point], backend, vocab)
 
     def test_report_json_deterministic(self, fixture_env):
         vocab, backend, dataset = fixture_env

@@ -14,7 +14,7 @@ from trierank import (
     rank,
     ranking_record,
 )
-from trierank.errors import EmptyCandidateList, EmptyMask, MissingChildProbability
+from trierank.errors import EmptyCandidateList, EmptyInput, EmptyMask, MissingChildProbability
 from trierank.ranking import DecodeConfig, build_allowed_set, rank_from_traces, record_step
 from trierank.tree import CompletionTree, TreeNode
 
@@ -308,6 +308,10 @@ class TestValidation:
     def test_empty_candidates(self, worked_backend, worked_prefix, worked_vocab):
         with pytest.raises(EmptyCandidateList):
             rank(worked_backend, worked_prefix, [], worked_vocab)
+
+    def test_empty_identifier(self, worked_backend, worked_prefix, worked_vocab):
+        with pytest.raises(EmptyInput, match="candidate 0"):
+            rank(worked_backend, worked_prefix, ["", "add"], worked_vocab)
 
     def test_empty_prefix(self, worked_backend, worked_vocab):
         from trierank import TokenSeq

@@ -9,7 +9,7 @@ from trierank import (
     full_subtoken_map,
     greedy_tokenize,
 )
-from trierank.errors import DuplicateCandidate, NotASharedPrefix
+from trierank.errors import DuplicateCandidate, EmptyInput, NotASharedPrefix
 
 
 def assert_members_consistent(tree):
@@ -77,6 +77,10 @@ class TestBuild:
     def test_empty_candidates_rejected(self, worked_vocab):
         with pytest.raises(ValueError):
             build_tree([], worked_vocab)
+
+    def test_empty_identifier_rejected(self, worked_vocab):
+        with pytest.raises(EmptyInput, match="candidate 1 is an empty identifier"):
+            build_tree(["add", ""], worked_vocab)
 
     def test_build_is_deterministic(self, worked_vocab, worked_candidates):
         a = build_tree(worked_candidates, worked_vocab)
@@ -190,6 +194,23 @@ class TestMainTokenPush:
         tree = build_tree(["clear"], vocab)
         submap = full_subtoken_map(vocab)
         assert tree.main_token_push(tree.root, vocab.id("is"), submap) is None
+
+    def test_nested_prefixes_push_or_split(self):
+        vocab = Vocabulary.from_texts(["a", "ab", "abc", "b", "c", "x"])
+        a, ab, abc = vocab.id("a"), vocab.id("ab"), vocab.id("abc")
+        submap = full_subtoken_map(vocab)
+        # "a" prefixes both "ab" and "abc": no push, a split over both.
+        tree = build_tree(["abc", "abx"], vocab)
+        assert set(tree.root.children) == {ab, abc}
+        assert tree.main_token_push(tree.root, a, submap) is None
+        assert tree.split_on_subtoken(tree.root, a).members == {0, 1}
+        assert set(tree.root.children) == {a}
+        # "ab" prefixes only "abc": a push, and no split.
+        tree = build_tree(["abc"], vocab)
+        assert tree.main_token_push(tree.root, ab, submap) == abc
+        assert tree.main_token_push(tree.root, a, submap) == abc
+        with pytest.raises(NotASharedPrefix):
+            tree.split_on_subtoken(tree.root, ab)
 
 
 def test_dump_golden(worked_tree):

@@ -76,19 +76,11 @@ def test_roundtrip_and_greedy_optimality(case):
 class TestSubtokenMap:
     def test_strict_prefix_enumeration(self):
         v = vocab_of("is", "isEmpty", "i", "Empty")
-        m = full_subtoken_map(v)
-        assert m.subtokens_of(v.id("isEmpty")) == {v.id("is"), v.id("i")}
+        assert full_subtoken_map(v)[v.id("isEmpty")] == (v.id("i"), v.id("is"))
 
     def test_no_prefixes_present(self):
         v = vocab_of("is", "isEmpty", "i", "Empty")
-        m = full_subtoken_map(v)
-        assert m.subtokens_of(v.id("Empty")) == frozenset()
-
-    def test_inverse_map(self):
-        v = vocab_of("a", "ab", "abc")
-        m = full_subtoken_map(v)
-        assert m.mains_of(v.id("a")) == {v.id("ab"), v.id("abc")}
-        assert m.mains_of(v.id("ab")) == {v.id("abc")}
+        assert full_subtoken_map(v)[v.id("Empty")] == ()
 
     def test_built_once_per_vocabulary(self, monkeypatch, capsys):
         builds = []
@@ -122,11 +114,11 @@ class TestSubtokenMap:
     def test_symmetry_brute_force(self, texts):
         vocab = Vocabulary.from_texts(sorted(set(texts)))
         m = full_subtoken_map(vocab)
+        assert len(m) == vocab.size
         for main in range(vocab.size):
             for sub in range(vocab.size):
                 expected = sub != main and vocab.texts[main].startswith(vocab.texts[sub])
-                assert (sub in m.subtokens_of(main)) == expected
-                assert (main in m.mains_of(sub)) == expected
+                assert (sub in m[main]) == expected
 
 
 class TestVocabulary:
