@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .backend import ModelBackend, SeededBackend, mock_backend_from_spec
-from .dataset import CompletionPoint, LoadedDataset, load_dataset
+from .dataset import LoadedDataset, load_dataset, point_from_record
 from .errors import BackendUnavailable, ContextTooLong, TrierankError
 from .evaluate import (
     EvalConfig,
@@ -32,7 +32,7 @@ from .evaluate import (
 )
 from .ranking import DecodeConfig, ranking_record
 from .remote import RemoteBackend
-from .vocab import Vocabulary, boundary_merged
+from .vocab import Vocabulary, boundary_merged, greedy_tokenize
 
 EXIT_OK, EXIT_CONFIG, EXIT_BACKEND = 0, 2, 3
 
@@ -171,29 +171,23 @@ def cmd_rank(args) -> int:
         candidates += [
             line for line in read_text(args.candidates_file, "candidates file").splitlines() if line
         ]
-    deduped: list[str] = []
-    seen: set[str] = set()
-    for c in candidates:
-        if c in seen:
-            print(f"warning: duplicate candidate {c!r} dropped", file=sys.stderr)
-            continue
-        seen.add(c)
-        deduped.append(c)
-    if not deduped:
-        raise ConfigError("no candidates given")
-    if "" in deduped:
-        raise ConfigError("empty candidate identifier")
-    for c in deduped:
-        if boundary_merged(prefix_text, c, vocab):
+    point, notes = point_from_record(
+        {"id": "cli", "prefix": prefix_text, "candidates": candidates,
+         "ground_truth": candidates[0] if candidates else ""}
+    )
+    for note in notes:
+        print(f"warning: {note}", file=sys.stderr)
+    prefix = greedy_tokenize(prefix_text, vocab)
+    for c in point.candidates:
+        if boundary_merged(prefix, c, vocab):
             print(
                 f"warning: candidate {c!r} is unreachable as tokenized — the vocabulary "
                 "merges the dereference boundary into one token",
                 file=sys.stderr,
             )
 
-    point = CompletionPoint("cli", prefix_text, deduped, deduped[0])
     result = adapter(point, backend.session(), StrategyContext(vocab, config.eval))
-    record = ranking_record(strategy, deduped, result.ranking, result.decode)
+    record = ranking_record(strategy, point.candidates, result.ranking, result.decode)
     print(json.dumps(record, indent=2, sort_keys=True))
     return EXIT_OK
 

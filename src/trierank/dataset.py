@@ -5,8 +5,8 @@ Schema::
     {"id": str, "prefix": str, "candidates": [str], "ground_truth": str,
      "baselines": {name: [str]}?, "meta": {}?}
 
-Points with an empty candidate, or whose ground truth is missing from the
-candidate list (the benchmarks guarantee membership), are rejected;
+Points with an empty prefix or candidate, or whose ground truth is missing
+from the candidate list (the benchmarks guarantee membership), are rejected;
 duplicate candidates are dropped first-occurrence-wins. By default bad
 lines become warnings with line numbers; ``strict=True`` raises instead.
 """
@@ -58,6 +58,8 @@ def point_from_record(record: dict) -> tuple[CompletionPoint, list[str]]:
             raise SchemaError(name, "missing")
         if not isinstance(record[name], str):
             raise SchemaError(name, "expected a string")
+    if not record["prefix"]:
+        raise SchemaError("prefix", "must be non-empty")
     if "candidates" not in record:
         raise SchemaError("candidates", "missing")
     raw = _string_list(record["candidates"], "candidates")

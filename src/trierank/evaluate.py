@@ -72,10 +72,7 @@ class PointDetail:
     emitted_match: bool
     backend_calls: int
     gt_token_len: int
-    steps: int | None = None
-    early_stopped: bool | None = None
-    had_split: bool | None = None
-    had_push: bool | None = None
+    decode: DecodeStats | None = None
     ranking_times: list[float] = field(default_factory=list)
 
 
@@ -225,9 +222,8 @@ def strategy_adapter(name: str):
     )
 
 
-def _evaluate_point(adapter, point, backend, ctx: StrategyContext) -> PointDetail:
+def _evaluate_point(adapter, point, gt_len: int, backend, ctx: StrategyContext) -> PointDetail:
     gt = point.ground_truth
-    gt_len = len(greedy_tokenize(gt, ctx.vocab))
 
     def one_run() -> tuple[StrategyResult, int, float]:
         session = CountingBackend(backend.session())
@@ -241,19 +237,14 @@ def _evaluate_point(adapter, point, backend, ctx: StrategyContext) -> PointDetai
     for _ in range(ctx.config.runs - 1):
         times.append(one_run()[2])
 
-    detail = PointDetail(
+    return PointDetail(
         rank=result.ranking.index(gt) + 1 if gt in result.ranking else None,
         emitted_match=result.emitted == gt,
         backend_calls=calls,
         gt_token_len=gt_len,
+        decode=result.decode,
         ranking_times=times,
     )
-    if result.decode is not None:
-        detail.steps = result.decode.steps_taken
-        detail.early_stopped = result.decode.early_stopped
-        detail.had_split = result.decode.splits > 0
-        detail.had_push = result.decode.pushes > 0
-    return detail
 
 
 def _aggregate(details: list[PointDetail], config: EvalConfig) -> StrategyReport:
@@ -263,16 +254,16 @@ def _aggregate(details: list[PointDetail], config: EvalConfig) -> StrategyReport
     first_token_s = config.first_token_ms / 1000.0
     with_calls = [d for d in details if d.backend_calls > 0]
     ters = [token_efficiency(d.gt_token_len, d.backend_calls) for d in with_calls]
-    decoded = [d for d in details if d.steps is not None]
+    decoded = [d.decode for d in details if d.decode is not None]
     return StrategyReport(
         mrr=mrr(ranks),
         recall={k: recall_at_k(ranks, k) for k in (1, 5, 20)},
         em=exact_match_rate([d.emitted_match for d in details]),
         token_efficiency=fmean(ters) if ters else None,
         avg_generated_tokens=fmean(d.backend_calls for d in with_calls) if with_calls else None,
-        early_stop_rate=fmean(d.early_stopped for d in decoded) if decoded else None,
-        split_rate=fmean(d.had_split for d in decoded) if decoded else None,
-        push_rate=fmean(d.had_push for d in decoded) if decoded else None,
+        early_stop_rate=fmean(s.early_stopped for s in decoded) if decoded else None,
+        split_rate=fmean(s.splits > 0 for s in decoded) if decoded else None,
+        push_rate=fmean(s.pushes > 0 for s in decoded) if decoded else None,
         ranking_time=(ranking_mean, ranking_ci),
         total_time=(first_token_s + ranking_mean, ranking_ci),
     )
@@ -295,6 +286,7 @@ def evaluate(
     adapters = {name: strategy_adapter(name) for name in strategies}
     ctx = StrategyContext(vocab, config)
     warnings = list(getattr(dataset, "warnings", []))
+    gt_lens = [len(greedy_tokenize(p.ground_truth, vocab)) for p in points]
 
     reports: dict[str, StrategyReport] = {}
     details: dict[str, list[PointDetail]] = {}
@@ -304,9 +296,9 @@ def evaluate(
         try:
             if config.jobs > 1:
                 with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-                    point_details = list(pool.map(run, points))
+                    point_details = list(pool.map(run, points, gt_lens))
             else:
-                point_details = [run(p) for p in points]
+                point_details = list(map(run, points, gt_lens))
         except (BackendUnavailable, ContextTooLong) as exc:
             warnings.append(f"strategy {name} aborted: {exc}")
             error = exc
@@ -316,7 +308,6 @@ def evaluate(
     if error is not None and not reports:
         raise error
 
-    gt_lens = [len(greedy_tokenize(p.ground_truth, vocab)) for p in points]
     list_lens = [len(p.candidates) for p in points]
     dataset_summary = {
         "points": len(points),
@@ -340,14 +331,15 @@ def tree_statistics(details: list[PointDetail]) -> dict:
     """Tree-manipulation statistics over treeranker point details."""
     if not details:
         raise EmptyInput("no points evaluated")
-    steps = [d.steps for d in details if d.steps is not None]
-    if not steps:
+    decoded = [d.decode for d in details if d.decode is not None]
+    if not decoded:
         raise EmptyInput("details carry no decode statistics")
+    steps = [s.steps_taken for s in decoded]
     return {
         "points": len(details),
-        "early_completion_rate": fmean(d.early_stopped for d in details),
-        "split_rate": fmean(d.had_split for d in details),
-        "push_rate": fmean(d.had_push for d in details),
+        "early_completion_rate": fmean(s.early_stopped for s in decoded),
+        "split_rate": fmean(s.splits > 0 for s in decoded),
+        "push_rate": fmean(s.pushes > 0 for s in decoded),
         "single_forward_pass_rate": fmean(s == 1 for s in steps),
         "within_two_passes_rate": fmean(s <= 2 for s in steps),
         "avg_generated_tokens": fmean(steps),

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .backend import LogitMask, ModelBackend, next_distribution
-from .errors import EmptyCandidateList, EmptyMask, MissingChildProbability, NotASharedPrefix
+from .errors import EmptyMask, MissingChildProbability, NotASharedPrefix
 from .tree import TreeNode, build_tree
 from .vocab import TokenSeq, Vocabulary, full_subtoken_map
 
@@ -100,11 +100,8 @@ def rank(
     submap: tuple[tuple[int, ...], ...] | None = None,
 ) -> tuple[list[RankedCompletion], DecodeStats]:
     """Rank ``candidates`` for ``prefix`` with one greedy decode; ``submap``
-    defaults to the vocabulary's shared :func:`full_subtoken_map`."""
-    if not candidates:
-        raise EmptyCandidateList("no candidates to rank")
-    if len(prefix) == 0:
-        raise ValueError("prefix must be non-empty")
+    defaults to the vocabulary's shared :func:`full_subtoken_map`. The tree
+    checks the candidate list; an empty prefix fails at the first query."""
     config = config or DecodeConfig()
     submap = full_subtoken_map(vocab) if submap is None else submap
     tree = build_tree(candidates, vocab)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .errors import DuplicateCandidate, EmptyInput, NotASharedPrefix
+from .errors import DuplicateCandidate, EmptyCandidateList, EmptyInput, NotASharedPrefix
 from .vocab import TokenSeq, Vocabulary, greedy_tokenize
 
 
@@ -38,7 +38,7 @@ class CompletionTree:
 
     def __init__(self, identifiers: list[str], vocab: Vocabulary):
         if not identifiers:
-            raise ValueError("candidate list must be non-empty")
+            raise EmptyCandidateList("no candidates to rank")
         seen: set[str] = set()
         for i, ident in enumerate(identifiers):
             if not ident:

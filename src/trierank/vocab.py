@@ -95,7 +95,10 @@ class Vocabulary:
             entries[token_id] = _unescape(rest, lineno)
         if sorted(entries) != list(range(len(entries))):
             raise ParseError(0, "token ids are not dense in [0, size)")
-        return cls([entries[i] for i in range(len(entries))])
+        try:
+            return cls([entries[i] for i in range(len(entries))])
+        except ValueError as exc:
+            raise ParseError(0, str(exc)) from None
 
 
 def _escape(text: str) -> str:
@@ -181,27 +184,27 @@ def full_subtoken_map(vocab: Vocabulary) -> tuple[tuple[int, ...], ...]:
     return vocab._subtoken_map
 
 
-def boundary_merged(prefix_text: str, candidate: str, vocab: Vocabulary) -> bool:
+def boundary_merged(prefix: TokenSeq, candidate: str, vocab: Vocabulary) -> bool:
     """Whether greedy tokenization of prefix+candidate merges across the boundary.
 
     Some vocabularies contain tokens like ``._`` that glue the dereference
     operator to the first candidate character, making the candidate's first
     token unreachable when the prefix is tokenized separately. Such
     candidates are flagged, not repaired.
+
+    ``prefix`` is the greedy tokenization of the prefix text. The joined
+    text keeps its token boundaries up to the first of them where a longer
+    match crosses into the candidate, so only the prefix tokens starting
+    within one maximal token length of the end are read.
     """
-    if not prefix_text or not candidate:
-        return False
-    joined = prefix_text + candidate
-    try:
-        seq = greedy_tokenize(joined, vocab)
-    except UncoverableText:
-        return False
-    pos = 0
-    for t in seq.texts:
-        nxt = pos + len(t)
-        if pos < len(prefix_text) < nxt:
-            return True
-        if nxt >= len(prefix_text):
-            return False
-        pos = nxt
+    lookup, max_len = vocab.ids, vocab._max_len
+    tail = ""
+    for token in reversed(prefix.texts):
+        tail = token + tail
+        if len(tail) >= max_len:
+            break
+        joined = tail + candidate
+        for end in range(len(tail) + 1, min(max_len, len(joined)) + 1):
+            if joined[:end] in lookup:
+                return True
     return False

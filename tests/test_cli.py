@@ -1,7 +1,11 @@
 import json
+import string
+import sys
 
 import pytest
 
+import trierank.vocab
+from trierank import Vocabulary
 from trierank.cli import EXIT_BACKEND, EXIT_CONFIG, EXIT_OK, main
 
 FIX = "fixtures"
@@ -303,8 +307,11 @@ def mock(spec) -> list:
         ["eval", *BASE, "--config", File({"first_token_ms": "x"}), f"{FIX}/smoke.jsonl"],
         ["eval", *BASE, "--config", File({"strategies": "greedy"}), f"{FIX}/smoke.jsonl"],
         ["rank", *BASE, File(b"x\xff."), "add"],
+        ["rank", *BASE, File(b""), "add"],
         ["eval", *BASE, File(b'{"id": "\xff"}\n')],
         ["rank", *BASE, "--vocab", File(b"0\tadd\n1\t\xff\n"), PREFIX, "add"],
+        ["rank", *BASE, "--vocab", File(b"0\ta\n1\ta\n"), PREFIX, "add"],
+        ["rank", *BASE, "--vocab", File(b"0\ta\n1\t\n"), PREFIX, "add"],
         ["rank", *BASE, *mock({"default": {"add": "x"}}), PREFIX, "add"],
         ["rank", *BASE, *mock({"default": {"add": 1}, "contexts": [{"probs": {}}]}), PREFIX, "add"],
         ["rank", *BASE, *mock(b"{"), PREFIX, "add"],
@@ -320,8 +327,9 @@ def mock(spec) -> list:
     ],
     ids=[
         "max-steps-0", "empty-candidate", "empty-candidate-greedy", "negative-alpha", "jobs-0", "prefix-file", "candidates-file", "dataset",
-        "config-string-number", "config-string-strategies", "prefix-not-utf8",
-        "dataset-not-utf8", "vocab-not-utf8", "spec-non-numeric-probability",
+        "config-string-number", "config-string-strategies", "prefix-not-utf8", "empty-prefix",
+        "dataset-not-utf8", "vocab-not-utf8", "vocab-duplicate-token", "vocab-empty-token",
+        "spec-non-numeric-probability",
         "spec-context-without-suffix", "spec-invalid-json", "spec-contexts-not-a-list",
         "spec-unhashable-token", "spec-max-context-not-an-integer", "report-is-a-list",
         "report-strategies-is-a-list",
@@ -335,8 +343,37 @@ def test_invalid_input_exits_2_with_one_error_line(capsys, tmp_path, argv):
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+def test_rank_tokenizes_the_prefix_at_most_twice(capsys, monkeypatch, tmp_path):
+    # One tokenization for the boundary warnings, one in the strategy: the
+    # count must not grow with the candidate list.
+    real = trierank.vocab.greedy_tokenize
+    prefix_text = "items.get(key).value."
+    calls = []
+
+    def counting(text, vocab):
+        if text.startswith(prefix_text):
+            calls.append(text)
+        return real(text, vocab)
+
+    for name, module in list(sys.modules.items()):
+        if name == "trierank" or name.startswith("trierank."):
+            for attr, bound in list(vars(module).items()):
+                if bound is real:
+                    monkeypatch.setattr(module, attr, counting)
+    vocab = tmp_path / "vocab.tsv"
+    Vocabulary.from_texts(string.ascii_letters + string.digits + "._()").save(vocab)
+    prefix = tmp_path / "prefix.txt"
+    prefix.write_text(prefix_text, encoding="utf-8")
+    candidates = [f"item{i}" for i in range(60)]
+    code, out, _ = run(
+        capsys, "rank", "--backend", "mock:1", "--vocab", str(vocab), str(prefix), *candidates
+    )
+    assert code == EXIT_OK and len(json.loads(out)["ranking"]) == 60
+    assert 1 <= len(calls) <= 2
+
+
 def test_console_script_entry():
-    import subprocess, sys
+    import subprocess
 
     result = subprocess.run(
         [sys.executable, "-m", "trierank.cli", "rank", *BASE, f"{FIX}/prefix.txt", "add", "clear"],

@@ -104,6 +104,12 @@ def test_schema_errors(mutation, field):
     assert err.value.field == field
 
 
+def test_empty_prefix_rejected():
+    with pytest.raises(SchemaError) as err:
+        point_from_record(point(prefix=""))
+    assert err.value.field == "prefix"
+
+
 def test_blank_lines_ignored(tmp_path):
     path = tmp_path / "points.jsonl"
     path.write_text(json.dumps(point()) + "\n\n\n", encoding="utf-8")

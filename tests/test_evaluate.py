@@ -11,7 +11,7 @@ from trierank import (
     load_dataset,
     mock_backend_from_spec,
 )
-from trierank.errors import ContextTooLong, EmptyInput
+from trierank.errors import ContextTooLong, EmptyCandidateList, EmptyInput
 from trierank.evaluate import EvalConfig, UnknownStrategy, evaluate, tree_statistics
 from trierank.ranking import DecodeConfig
 
@@ -123,6 +123,11 @@ class TestHarnessBehavior:
         point = CompletionPoint("e", "x.", ["", "add"], "add")
         with pytest.raises(EmptyInput, match="empty identifier"):
             evaluate(strategy, [point], backend, vocab)
+
+    def test_empty_candidate_list_rejected(self, fixture_env):
+        vocab, backend, _ = fixture_env
+        with pytest.raises(EmptyCandidateList):
+            evaluate(["beamall"], [CompletionPoint("e", "x.", [], "add")], backend, vocab)
 
     def test_report_json_deterministic(self, fixture_env):
         vocab, backend, dataset = fixture_env

@@ -9,7 +9,7 @@ from trierank import (
     full_subtoken_map,
     greedy_tokenize,
 )
-from trierank.errors import DuplicateCandidate, EmptyInput, NotASharedPrefix
+from trierank.errors import DuplicateCandidate, EmptyCandidateList, EmptyInput, NotASharedPrefix
 
 
 def assert_members_consistent(tree):
@@ -75,7 +75,7 @@ class TestBuild:
             build_tree(["add", "add"], worked_vocab)
 
     def test_empty_candidates_rejected(self, worked_vocab):
-        with pytest.raises(ValueError):
+        with pytest.raises(EmptyCandidateList):
             build_tree([], worked_vocab)
 
     def test_empty_identifier_rejected(self, worked_vocab):

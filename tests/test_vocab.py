@@ -148,6 +148,8 @@ class TestVocabulary:
             "0\ta\nx\tb\n",
             "0\ta\n2\tb\n",
             "0\ta\n1\tbad\\q\n",
+            "0\ta\n1\ta\n",
+            "0\ta\n1\t\n",
             "0\ta\n1\tdangling\\\n",
             "0\ta\n0\tb\n",
         ],
@@ -169,9 +171,54 @@ class TestIdentifierBoundary:
 
     def test_boundary_merge_flagged(self):
         v = vocab_of("x", ".", "._", "_foo", "foo", "_")
-        assert boundary_merged("x.", "_foo", v) is True
-        assert boundary_merged("x.", "foo", v) is False
+        assert boundary_merged(greedy_tokenize("x.", v), "_foo", v) is True
+        assert boundary_merged(greedy_tokenize("x.", v), "foo", v) is False
 
     def test_boundary_clean_split(self):
         v = vocab_of("x", ".", "add")
-        assert boundary_merged("x.", "add", v) is False
+        assert boundary_merged(greedy_tokenize("x.", v), "add", v) is False
+
+    def test_boundary_merge_flagged_when_the_rest_is_uncoverable(self):
+        # "x._ab" tokenizes as x, ._ and then fails on "a"; the merge across
+        # the boundary is flagged all the same.
+        v = vocab_of("x", ".", "_", "._", "_ab")
+        assert boundary_merged(greedy_tokenize("x.", v), "_ab", v) is True
+        assert joined_tokenization_straddles("x.", "_ab", v) is False
+
+
+def joined_tokenization_straddles(prefix_text: str, candidate: str, vocab) -> bool:
+    """Reference check: tokenize prefix+candidate whole and look for a token
+    that straddles the boundary; an uncoverable joined text is not flagged."""
+    if not prefix_text or not candidate:
+        return False
+    try:
+        seq = greedy_tokenize(prefix_text + candidate, vocab)
+    except UncoverableText:
+        return False
+    pos = 0
+    for t in seq.texts:
+        nxt = pos + len(t)
+        if pos < len(prefix_text) < nxt:
+            return True
+        if nxt >= len(prefix_text):
+            return False
+        pos = nxt
+    return False
+
+
+@st.composite
+def vocab_prefix_candidate(draw):
+    alphabet = "ab._x"
+    extra = draw(st.lists(st.text(alphabet=alphabet, min_size=2, max_size=5), max_size=12))
+    vocab = Vocabulary.from_texts(sorted(set(alphabet) | set(extra)))
+    prefix = draw(st.text(alphabet=alphabet, max_size=16))
+    candidate = draw(st.text(alphabet=alphabet, min_size=1, max_size=6))
+    return vocab, prefix, candidate
+
+
+@given(vocab_prefix_candidate())
+@settings(max_examples=300)
+def test_boundary_merged_matches_joined_tokenization(case):
+    vocab, prefix, candidate = case
+    expected = joined_tokenization_straddles(prefix, candidate, vocab)
+    assert boundary_merged(greedy_tokenize(prefix, vocab), candidate, vocab) is expected
