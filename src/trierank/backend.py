@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .errors import ContextTooLong, MalformedSpec
+from .errors import ContextTooLong, EmptyInput, MalformedSpec
 from .vocab import TokenSeq, Vocabulary
 
 MAX_SUFFIX_KEY = 4
@@ -106,11 +106,11 @@ def next_distribution(
     With ``mask``, probabilities are renormalized over the allowed set and the
     argmax is taken within it. Without, the true full-support argmax is
     returned and ``query`` ids are reported even when the backend assigns them
-    no mass.
+    no mass. Raises :class:`EmptyInput` on an empty ``context``.
     """
     ids = context.ids if isinstance(context, TokenSeq) else tuple(context)
     if not ids:
-        raise ValueError("context must be non-empty")
+        raise EmptyInput("context must be non-empty")
     allowed = mask.allowed if mask is not None else None
     return backend.next_distribution(ids, allowed, query)
 

@@ -49,7 +49,8 @@ class EmptyCandidateList(TrierankError):
 
 
 class EmptyInput(TrierankError):
-    """A required input is empty: a metric or evaluation collection, a candidate identifier."""
+    """A required input is empty: a metric or evaluation collection, a candidate
+    identifier, a model context."""
 
 
 class ZeroGenerated(TrierankError):

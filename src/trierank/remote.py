@@ -29,7 +29,7 @@ import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from .backend import Distribution, ModelBackend
-from .errors import BackendUnavailable, ContextTooLong
+from .errors import BackendUnavailable, ContextTooLong, EmptyInput
 from .vocab import Vocabulary, greedy_tokenize
 
 
@@ -89,6 +89,8 @@ def _make_handler(backend: ModelBackend, vocab: Vocabulary | None):
                     if text is None or vocab is None:
                         raise ValueError("no usable context in request")
                     context = list(greedy_tokenize(text, vocab).ids)
+                if not context:
+                    raise EmptyInput("context must be non-empty")
                 allowed = payload.get("allowed")
                 query = payload.get("query")
                 dist = backend.next_distribution(

@@ -3,6 +3,9 @@
 A :class:`Vocabulary` is an immutable table of token texts with dense ids.
 :func:`greedy_tokenize` picks the longest matching token at every position,
 which is the deterministic token sequence the decoder optimistically follows.
+It walks a prefix table, a flattened trie that maps every non-empty prefix of
+every token text to that token's id, or to -1 when the prefix is no token;
+the table is built once per vocabulary on first use.
 :func:`full_subtoken_map` lists the ids of the tokens that strictly prefix
 each token, so the decoder can admit and resolve partial-token selections.
 """
@@ -34,7 +37,7 @@ class Vocabulary:
     Token texts must be unique and non-empty.
     """
 
-    __slots__ = ("texts", "ids", "_max_len", "_termination_ids", "_subtoken_map")
+    __slots__ = ("texts", "ids", "_max_len", "_termination_ids", "_subtoken_map", "_prefix_table")
 
     def __init__(self, texts: list[str]):
         seen: dict[str, int] = {}
@@ -49,6 +52,7 @@ class Vocabulary:
         self._max_len = max((len(t) for t in texts), default=0)
         self._termination_ids: frozenset[int] | None = None
         self._subtoken_map: tuple[tuple[int, ...], ...] | None = None
+        self._prefix_table: dict[str, int] | None = None
 
     @classmethod
     def from_texts(cls, texts) -> "Vocabulary":
@@ -139,26 +143,23 @@ def greedy_tokenize(text: str, vocab: Vocabulary) -> TokenSeq:
 
     Raises :class:`UncoverableText` when no token matches at some position.
     """
+    get = _prefix_table(vocab).get
     ids: list[int] = []
-    texts: list[str] = []
     pos = 0
-    lookup = vocab.ids
-    max_len = vocab._max_len
     n = len(text)
     while pos < n:
         match_id = -1
-        for length in range(min(max_len, n - pos), 0, -1):
-            candidate = text[pos : pos + length]
-            found = lookup.get(candidate)
-            if found is not None:
-                match_id = found
+        for end in range(pos + 1, n + 1):
+            found = get(text[pos:end])
+            if found is None:
                 break
+            if found >= 0:
+                match_id, match_end = found, end
         if match_id < 0:
             raise UncoverableText(text, pos)
         ids.append(match_id)
-        texts.append(vocab.texts[match_id])
-        pos += len(vocab.texts[match_id])
-    return TokenSeq(tuple(ids), tuple(texts))
+        pos = match_end
+    return TokenSeq(tuple(ids), tuple(vocab.texts[i] for i in ids))
 
 
 def build_subtoken_map(vocab: Vocabulary) -> tuple[tuple[int, ...], ...]:
@@ -171,14 +172,31 @@ def build_subtoken_map(vocab: Vocabulary) -> tuple[tuple[int, ...], ...]:
     return tuple(table)
 
 
-_SUBTOKEN_MAP_LOCK = threading.Lock()
+def _build_prefix_table(vocab: Vocabulary) -> dict[str, int]:
+    """Every non-empty prefix of every token text, mapped to the id of the
+    token it spells, or to -1 when it spells none."""
+    table = dict.fromkeys((t[:cut] for t in vocab.texts for cut in range(1, len(t))), -1)
+    table.update(vocab.ids)
+    return table
+
+
+# Guards the lazy builds of the tables a vocabulary keeps.
+_LAZY_TABLE_LOCK = threading.Lock()
+
+
+def _prefix_table(vocab: Vocabulary) -> dict[str, int]:
+    if vocab._prefix_table is None:
+        with _LAZY_TABLE_LOCK:
+            if vocab._prefix_table is None:
+                vocab._prefix_table = _build_prefix_table(vocab)
+    return vocab._prefix_table
 
 
 def full_subtoken_map(vocab: Vocabulary) -> tuple[tuple[int, ...], ...]:
     """:func:`build_subtoken_map` of ``vocab``, built once on first use and
     kept on the vocabulary; safe to share across concurrent rankings."""
     if vocab._subtoken_map is None:
-        with _SUBTOKEN_MAP_LOCK:
+        with _LAZY_TABLE_LOCK:
             if vocab._subtoken_map is None:
                 vocab._subtoken_map = build_subtoken_map(vocab)
     return vocab._subtoken_map
@@ -195,16 +213,20 @@ def boundary_merged(prefix: TokenSeq, candidate: str, vocab: Vocabulary) -> bool
     ``prefix`` is the greedy tokenization of the prefix text. The joined
     text keeps its token boundaries up to the first of them where a longer
     match crosses into the candidate, so only the prefix tokens starting
-    within one maximal token length of the end are read.
+    within one maximal token length of the end are read, and each only as
+    far as the prefix table reaches.
     """
-    lookup, max_len = vocab.ids, vocab._max_len
+    get, max_len = _prefix_table(vocab).get, vocab._max_len
     tail = ""
     for token in reversed(prefix.texts):
         tail = token + tail
         if len(tail) >= max_len:
             break
         joined = tail + candidate
-        for end in range(len(tail) + 1, min(max_len, len(joined)) + 1):
-            if joined[:end] in lookup:
+        for end in range(len(tail) + 1, len(joined) + 1):
+            found = get(joined[:end])
+            if found is None:
+                break
+            if found >= 0:
                 return True
     return False

@@ -11,7 +11,7 @@ from trierank import (
     mock_backend_from_spec,
     next_distribution,
 )
-from trierank.errors import ContextTooLong, MalformedSpec
+from trierank.errors import ContextTooLong, EmptyInput, MalformedSpec
 
 ADD, CLEAR, RET = 0, 1, 2
 TABLE = {ADD: 0.6, CLEAR: 0.3, RET: 0.1}
@@ -148,7 +148,7 @@ def test_context_window_enforced():
 
 
 def test_empty_context_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(EmptyInput):
         next_distribution(MockBackend(default={0: 1.0}), [])
 
 

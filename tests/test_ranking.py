@@ -316,7 +316,7 @@ class TestValidation:
     def test_empty_prefix(self, worked_backend, worked_vocab):
         from trierank import TokenSeq
 
-        with pytest.raises(ValueError):
+        with pytest.raises(EmptyInput):
             rank(worked_backend, TokenSeq((), ()), ["add"], worked_vocab)
 
     def test_max_steps_validated(self):

@@ -1,4 +1,5 @@
 import json
+import urllib.error
 import urllib.request
 
 import pytest
@@ -85,6 +86,15 @@ def test_malformed_request_is_backend_error(served):
     # Server answers 400 for requests without a usable context.
     with pytest.raises(BackendUnavailable):
         bad._request({"allowed": None, "query": None})
+
+
+@pytest.mark.parametrize("context", [{"context_tokens": []}, {"context_text": ""}])
+def test_empty_context_answers_400(served, context):
+    _, _, remote = served
+    with pytest.raises(urllib.error.HTTPError) as err:
+        post(remote.endpoint, {**context, "allowed": None, "query": None})
+    assert err.value.code == 400
+    assert json.loads(err.value.read())["detail"] == "context must be non-empty"
 
 
 def test_session_is_fresh_instance(served):

@@ -1,9 +1,13 @@
+import sys
+import threading
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trierank.vocab
 from trierank import (
+    TokenSeq,
     Vocabulary,
     full_subtoken_map,
     greedy_tokenize,
@@ -12,7 +16,7 @@ from trierank import (
     rank,
 )
 from trierank.cli import main
-from trierank.evaluate import evaluate
+from trierank.evaluate import EvalConfig, evaluate
 from trierank.errors import ParseError, UncoverableText
 from trierank.vocab import boundary_merged, identifier_prefix
 
@@ -73,6 +77,133 @@ def test_roundtrip_and_greedy_optimality(case):
         pos += len(emitted)
 
 
+def count_builds(monkeypatch, builder: str) -> list:
+    """Wrap the ``trierank.vocab`` builder named ``builder`` so that it
+    records the vocabulary of every build."""
+    builds = []
+    real = getattr(trierank.vocab, builder)
+
+    def counting(vocab):
+        builds.append(vocab)
+        return real(vocab)
+
+    monkeypatch.setattr(trierank.vocab, builder, counting)
+    return builds
+
+
+def run_every_caller(capsys):
+    """Two rank() calls on one vocabulary, a two-strategy evaluate() on two
+    threads on a second, and a CLI rank on a third it loads itself."""
+
+    def fixture_vocab_and_backend():
+        vocab = Vocabulary.load("fixtures/vocab.tsv")
+        return vocab, mock_backend_from_spec("fixtures/mockspec.json", vocab)
+
+    rank_vocab, backend = fixture_vocab_and_backend()
+    prefix = greedy_tokenize("x.", rank_vocab)
+    for _ in range(2):
+        rank(backend, prefix, ["add", "addAll", "clear"], rank_vocab)
+    eval_vocab, backend = fixture_vocab_and_backend()
+    dataset = load_dataset("fixtures/smoke.jsonl")
+    evaluate(["treeranker", "beamall"], dataset, backend, eval_vocab, EvalConfig(jobs=2))
+    argv = ["rank", "--backend", "mock:fixtures/mockspec.json", "--vocab", "fixtures/vocab.tsv"]
+    assert main([*argv, "fixtures/prefix.txt", "add", "addAll", "clear"]) == 0
+    capsys.readouterr()
+    return rank_vocab, eval_vocab
+
+
+def probe_every_length(text: str, vocab: Vocabulary) -> TokenSeq:
+    """Reference tokenizer: at each position, look up every length from the
+    longest token text's down to 1 and take the first that is a token."""
+    max_len = max(map(len, vocab.texts))
+    ids, pos = [], 0
+    while pos < len(text):
+        for length in range(min(max_len, len(text) - pos), 0, -1):
+            found = vocab.ids.get(text[pos : pos + length])
+            if found is not None:
+                break
+        else:
+            raise UncoverableText(text, pos)
+        ids.append(found)
+        pos += length
+    return TokenSeq(tuple(ids), tuple(vocab.texts[i] for i in ids))
+
+
+class TestPrefixWalk:
+    def test_walk_passes_a_prefix_that_is_no_token(self):
+        v = vocab_of("a", "b", "abc")
+        assert greedy_tokenize("abcab", v).texts == ("abc", "a", "b")
+
+    def test_walk_falls_back_to_a_shorter_match(self):
+        v = vocab_of("a", "abcd")
+        with pytest.raises(UncoverableText) as err:
+            greedy_tokenize("abca", v)
+        assert err.value.position == 1
+
+
+@st.composite
+def gapped_vocab_and_text(draw):
+    """Vocabularies where some single characters are no tokens and long
+    tokens have prefixes that are no tokens, and texts mostly spelled from
+    their tokens."""
+    alphabet = "abc"
+    tokens = sorted(
+        draw(st.sets(st.text(alphabet=alphabet, min_size=1, max_size=5), min_size=1, max_size=8))
+    )
+    pieces = st.one_of(st.sampled_from(tokens), st.sampled_from(alphabet))
+    return Vocabulary.from_texts(tokens), "".join(draw(st.lists(pieces, max_size=8)))
+
+
+@given(gapped_vocab_and_text())
+@settings(max_examples=300)
+def test_prefix_walk_matches_probing_every_length(case):
+    vocab, text = case
+    try:
+        expected = probe_every_length(text, vocab)
+    except UncoverableText as err:
+        with pytest.raises(UncoverableText) as got:
+            greedy_tokenize(text, vocab)
+        assert got.value.position == err.position
+    else:
+        assert greedy_tokenize(text, vocab) == expected
+
+
+class TestPrefixTable:
+    def test_built_once_per_vocabulary_and_never_on_load(self, monkeypatch, capsys):
+        builds = count_builds(monkeypatch, "_build_prefix_table")
+        Vocabulary.load("fixtures/vocab.tsv")
+        Vocabulary.from_texts(["a", "ab"])
+        assert builds == []
+        rank_vocab, eval_vocab = run_every_caller(capsys)
+        assert len(builds) == 3
+        assert builds[0] is rank_vocab and builds[1] is eval_vocab
+        assert builds[2] not in (rank_vocab, eval_vocab)
+
+    def test_concurrent_first_use_builds_once(self, monkeypatch):
+        builds = count_builds(monkeypatch, "_build_prefix_table")
+        vocab = Vocabulary.load("fixtures/vocab.tsv")
+        start = threading.Barrier(8)
+        results = []
+
+        def tokenize():
+            start.wait(timeout=10)
+            results.append(greedy_tokenize("x.addAll", vocab))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=tokenize) for _ in range(8)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        assert builds == [vocab]
+        assert len(results) == 8 and len(set(results)) == 1
+
+
 class TestSubtokenMap:
     def test_strict_prefix_enumeration(self):
         v = vocab_of("is", "isEmpty", "i", "Empty")
@@ -83,29 +214,8 @@ class TestSubtokenMap:
         assert full_subtoken_map(v)[v.id("Empty")] == ()
 
     def test_built_once_per_vocabulary(self, monkeypatch, capsys):
-        builds = []
-        real = trierank.vocab.build_subtoken_map
-
-        def counting(vocab):
-            builds.append(vocab)
-            return real(vocab)
-
-        monkeypatch.setattr(trierank.vocab, "build_subtoken_map", counting)
-
-        def fixture_vocab_and_backend():
-            vocab = Vocabulary.load("fixtures/vocab.tsv")
-            return vocab, mock_backend_from_spec("fixtures/mockspec.json", vocab)
-
-        rank_vocab, backend = fixture_vocab_and_backend()
-        prefix = greedy_tokenize("x.", rank_vocab)
-        for _ in range(2):
-            rank(backend, prefix, ["add", "addAll", "clear"], rank_vocab)
-        eval_vocab, backend = fixture_vocab_and_backend()
-        dataset = load_dataset("fixtures/smoke.jsonl")
-        evaluate(["treeranker", "beamall"], dataset, backend, eval_vocab)
-        argv = ["rank", "--backend", "mock:fixtures/mockspec.json", "--vocab", "fixtures/vocab.tsv"]
-        assert main([*argv, "fixtures/prefix.txt", "add", "addAll", "clear"]) == 0
-        capsys.readouterr()
+        builds = count_builds(monkeypatch, "build_subtoken_map")
+        rank_vocab, eval_vocab = run_every_caller(capsys)
         assert len(builds) == 3
         assert builds[0] is rank_vocab and builds[1] is eval_vocab
         assert builds[2] not in (rank_vocab, eval_vocab)
