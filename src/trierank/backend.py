@@ -1,10 +1,15 @@
 """Next-token-distribution providers.
 
 The engine only ever asks one question: "given this token context, what are
-the next-token probabilities?" — optionally restricted to an allowed set
-(masking semantics: disallowed logits at -inf, so the surviving support is
-renormalized), optionally reporting extra queried ids without constraining
-the argmax.
+the next-token probabilities?" — optionally restricted by a
+:class:`LogitMask` (masking semantics: disallowed logits at -inf, so the
+surviving support is renormalized), optionally reporting extra queried ids
+without constraining the argmax.
+
+A mask holds explicit ids plus, at a terminal node, the vocabulary's shared
+class of identifier-ending tokens. Backends that keep their tables cache each
+table's class mass and argmax, so a masked step costs O(explicit ids).
+``math.fsum`` totals make a class mask and its expansion give the same floats.
 
 Two deterministic mock implementations back the test suite:
 
@@ -19,10 +24,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import random
 import struct
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -42,32 +49,79 @@ class Distribution:
 
 @dataclass(frozen=True)
 class LogitMask:
-    """The set of token ids a constrained step may select."""
+    """The token ids a constrained step may select: the explicit ``ids`` plus
+    every id of the ``termination`` class, which may overlap them."""
 
-    allowed: frozenset[int]
+    ids: frozenset[int]
+    termination: frozenset[int] = frozenset()
 
     def __post_init__(self):
-        if not self.allowed:
+        if not self.ids and not self.termination:
             raise ValueError("mask must allow at least one token")
+
+    def __contains__(self, token: int) -> bool:
+        return token in self.ids or token in self.termination
+
+    @cached_property
+    def allowed(self) -> frozenset[int]:
+        """The whole admissible set, built on first read: O(vocabulary) with a class."""
+        return self.ids | self.termination
 
 
 def _argmax(probs: Mapping[int, float]) -> int:
-    # Ties break toward the smallest token id for determinism.
-    return min(probs, key=lambda t: (-probs[t], t))
+    """The id of the largest value; ties go to the smallest id, in any table order."""
+    best = max(probs.values())
+    return min(t for t, p in probs.items() if p == best)
 
 
-def _restrict(table: Mapping[int, float], allowed: frozenset[int]) -> dict[int, float]:
-    """Renormalize ``table`` over ``allowed``; uniform if no mass survives."""
-    masked = {t: table.get(t, 0.0) for t in sorted(allowed)}
-    total = sum(masked.values())
+def _class_summary(
+    table: Mapping[int, float], cls: frozenset[int], cache: dict | None
+) -> tuple[list[float], int]:
+    """Floats whose exact sum is the exact mass of ``cls`` in ``table``, and the
+    class's argmax; kept in ``cache`` under the table's id. The entry holds the
+    table, so no other table can take that id while it is cached."""
+    key = (id(table), cls)
+    if cache is not None and key in cache:
+        return cache[key][1]
+    values = {t: table.get(t, 0.0) for t in cls}
+    # Each round's fsum is the correctly rounded rest, so the rest reaches 0 in a few.
+    partials: list[float] = []
+    while residual := math.fsum([*values.values(), *(-p for p in partials)]):
+        partials.append(residual)
+        if not math.isfinite(residual):  # NaN or infinite mass leaves no residual
+            break
+    summary = (partials, _argmax(values))
+    if cache is not None:
+        cache[key] = (table, summary)
+    return summary
+
+
+def _restrict(
+    table: Mapping[int, float], mask: LogitMask, cache: dict | None
+) -> tuple[dict[int, float], int]:
+    """Probabilities of the explicit ids and of the argmax, renormalized over
+    ``mask`` (uniform if no mass survives), and the argmax of the raw values,
+    ties to the smallest id. The total is the ``math.fsum`` of every admissible
+    value, each id once, so a class and its expansion give the same floats."""
+    cls = mask.termination
+    masked = {t: table.get(t, 0.0) for t in sorted(mask.ids)}
+    outside = [p for t, p in masked.items() if t not in cls]
+    partials, top = _class_summary(table, cls, cache) if cls else ([], None)
+    argmax = _argmax(masked if top is None else {**masked, top: table.get(top, 0.0)})
+    masked[argmax] = table.get(argmax, 0.0)
+    total = math.fsum(outside + partials)
     if total <= 0.0:
-        share = 1.0 / len(masked)
-        return {t: share for t in masked}
-    return {t: p / total for t, p in masked.items()}
+        share = 1.0 / (len(outside) + len(cls))
+        return {t: share for t in masked}, argmax
+    return {t: p / total for t, p in masked.items()}, argmax
 
 
 class ModelBackend:
     """Abstract next-token-distribution provider."""
+
+    # A backend whose tables live as long as it does sets a dict here, and each
+    # table's class sums are cached in it.
+    _class_sums: dict | None = None
 
     def raw_distribution(self, context: Sequence[int]) -> dict[int, float]:
         """Unmasked probabilities over the backend's support for ``context``."""
@@ -76,16 +130,14 @@ class ModelBackend:
     def next_distribution(
         self,
         context: Sequence[int],
-        allowed: frozenset[int] | None = None,
+        allowed: LogitMask | None = None,
         query: Iterable[int] | None = None,
     ) -> Distribution:
         table = self.raw_distribution(context)
         if allowed is not None:
-            probs = _restrict(table, allowed)
-            argmax = _argmax(probs)
+            probs, argmax = _restrict(table, allowed, self._class_sums)
         else:
-            probs = dict(table)
-            argmax = _argmax(table)
+            probs, argmax = dict(table), _argmax(table)
         for q in sorted(query or ()):
             probs.setdefault(q, 0.0)
         return Distribution(probs, argmax)
@@ -103,16 +155,16 @@ def next_distribution(
 ) -> Distribution:
     """Query ``backend`` for the next-token distribution after ``context``.
 
-    With ``mask``, probabilities are renormalized over the allowed set and the
-    argmax is taken within it. Without, the true full-support argmax is
-    returned and ``query`` ids are reported even when the backend assigns them
-    no mass. Raises :class:`EmptyInput` on an empty ``context``.
+    With ``mask``, probabilities are renormalized over the admissible set and
+    the argmax is taken within it (:func:`_restrict`). Without, the true
+    full-support argmax is returned and ``query`` ids are reported even when
+    the backend assigns them no mass. Raises :class:`EmptyInput` on an empty
+    ``context``.
     """
     ids = context.ids if isinstance(context, TokenSeq) else tuple(context)
     if not ids:
         raise EmptyInput("context must be non-empty")
-    allowed = mask.allowed if mask is not None else None
-    return backend.next_distribution(ids, allowed, query)
+    return backend.next_distribution(ids, mask, query)
 
 
 class MockBackend(ModelBackend):
@@ -139,6 +191,7 @@ class MockBackend(ModelBackend):
                 raise MalformedSpec(f"duplicate suffix {key}")
             self.contexts[key] = _check_table(dict(table), f"suffix {key}")
         self.max_context = max_context
+        self._class_sums = {}
 
     def raw_distribution(self, context: Sequence[int]) -> dict[int, float]:
         if self.max_context is not None and len(context) > self.max_context:
@@ -226,6 +279,7 @@ class SeededBackend(ModelBackend):
         self.max_context = max_context
         self._key = struct.pack("<q", seed)
         self._cache: dict[tuple[int, ...], dict[int, float]] = {}
+        self._class_sums = {}
 
     def raw_distribution(self, context: Sequence[int]) -> dict[int, float]:
         if self.max_context is not None and len(context) > self.max_context:

@@ -10,6 +10,7 @@ count the budget the tree ranker is measured against.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 
@@ -83,7 +84,7 @@ def beam_search(
         expanded = [b for b in beams if b.finished]
         for beam in live:
             dist = next_distribution(backend, list(prefix.ids) + list(beam.token_ids))
-            top = sorted(dist.probs.items(), key=lambda kv: (-kv[1], kv[0]))[:width]
+            top = heapq.nsmallest(width, dist.probs.items(), key=lambda kv: (-kv[1], kv[0]))
             for token, p in top:
                 text = beam.text + vocab.texts[token]
                 finished = identifier_prefix(text) != text

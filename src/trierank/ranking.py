@@ -69,16 +69,16 @@ class RankedCompletion:
 def build_allowed_set(
     node: TreeNode, submap: tuple[tuple[int, ...], ...], vocab: Vocabulary, config: DecodeConfig
 ) -> LogitMask:
-    """Tokens admissible at ``node``: child mains, their subtokens, and — at a
-    terminal node, when configured — identifier-ending tokens."""
-    allowed: set[int] = set(node.children)
+    """Tokens admissible at ``node``: child mains and their subtokens as explicit
+    ids, and — at a terminal node, when configured — the vocabulary's shared
+    class of identifier-ending tokens."""
+    explicit: set[int] = set(node.children)
     for t in node.children:
-        allowed.update(submap[t])
-    if node.terminal_for is not None and config.include_termination_mass:
-        allowed |= vocab.termination_ids()
-    if not allowed:
+        explicit.update(submap[t])
+    terminal = node.terminal_for is not None and config.include_termination_mass
+    if not explicit and not terminal:
         raise EmptyMask("childless terminal node with termination handling off")
-    return LogitMask(frozenset(allowed))
+    return LogitMask(frozenset(explicit), vocab.termination_ids() if terminal else frozenset())
 
 
 def record_step(traces: list[list[float]], node: TreeNode, dist) -> None:

@@ -6,6 +6,9 @@ Request (JSON body, any path)::
      "allowed": [int, ...] | null,  # renormalize + constrain argmax over these
      "query": [int, ...] | null}    # report these ids without constraining
 
+``allowed`` is the mask's whole admissible set, expanded: a termination
+class travels as its ids, and the server answers for every one of them.
+
 Response::
 
     {"probs": {"<token id>": float, ...}, "argmax": int}
@@ -28,7 +31,7 @@ import urllib.error
 import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from .backend import Distribution, ModelBackend
+from .backend import Distribution, LogitMask, ModelBackend
 from .errors import BackendUnavailable, ContextTooLong, EmptyInput
 from .vocab import Vocabulary, greedy_tokenize
 
@@ -46,7 +49,7 @@ class RemoteBackend(ModelBackend):
     def next_distribution(self, context, allowed=None, query=None) -> Distribution:
         payload = {
             "context_tokens": list(context),
-            "allowed": sorted(allowed) if allowed is not None else None,
+            "allowed": sorted(allowed.allowed) if allowed is not None else None,
             "query": sorted(query) if query else None,
         }
         return self._request(payload)
@@ -91,12 +94,10 @@ def _make_handler(backend: ModelBackend, vocab: Vocabulary | None):
                     context = list(greedy_tokenize(text, vocab).ids)
                 if not context:
                     raise EmptyInput("context must be non-empty")
-                allowed = payload.get("allowed")
-                query = payload.get("query")
+                allowed, query = payload.get("allowed"), payload.get("query")
+                mask = None if allowed is None else LogitMask(frozenset(int(t) for t in allowed))
                 dist = backend.next_distribution(
-                    [int(t) for t in context],
-                    frozenset(int(t) for t in allowed) if allowed is not None else None,
-                    [int(t) for t in query] if query else None,
+                    [int(t) for t in context], mask, [int(t) for t in query] if query else None
                 )
             except ContextTooLong as exc:
                 self._reply(413, {"error": "context_too_long", "detail": str(exc)})

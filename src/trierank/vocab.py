@@ -96,7 +96,7 @@ class Vocabulary:
                 raise ParseError(lineno, f"bad token id {head!r}") from None
             if token_id in entries:
                 raise ParseError(lineno, f"duplicate token id {token_id}")
-            entries[token_id] = _unescape(rest, lineno)
+            entries[token_id] = _unescape(rest, lineno) if "\\" in rest else rest
         if sorted(entries) != list(range(len(entries))):
             raise ParseError(0, "token ids are not dense in [0, size)")
         try:

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trierank import (
@@ -11,7 +11,10 @@ from trierank import (
     mock_backend_from_spec,
     next_distribution,
 )
+from trierank.backend import _argmax
 from trierank.errors import ContextTooLong, EmptyInput, MalformedSpec
+
+from support import ScriptedBackend
 
 ADD, CLEAR, RET = 0, 1, 2
 TABLE = {ADD: 0.6, CLEAR: 0.3, RET: 0.1}
@@ -165,3 +168,48 @@ def test_counting_backend():
     assert backend.first_response is not None
     session = backend.session()
     assert session.calls == 0 and session.first_response is None
+
+
+def _argmax_by_sort_key(probs):
+    """The one-key form of the tie rule, kept as the reference for ``_argmax``."""
+    return min(probs, key=lambda t: (-probs[t], t))
+
+
+# Few distinct values, so ties and all-zero tables come up often.
+PROBS = st.sampled_from([0.0, 5e-324, 0.1, 0.2, 0.3, 1 / 3, 0.5]) | st.floats(0.0, 1.0)
+
+
+@given(st.dictionaries(st.integers(0, 40), PROBS, min_size=1))
+def test_argmax_matches_the_sort_key_rule_in_any_table_order(probs):
+    assert _argmax(probs) == _argmax_by_sort_key(probs)
+
+
+@given(
+    table=st.dictionaries(st.integers(0, 15), PROBS, min_size=1),
+    ids=st.frozensets(st.integers(0, 15)),
+    cls=st.frozensets(st.integers(0, 15), min_size=1),
+)
+@example(table={0: 0.0, 1: 0.0}, ids=frozenset({3}), cls=frozenset({1, 2}))
+@example(table={1: 0.5, 2: 0.5, 3: 0.5}, ids=frozenset({2, 3}), cls=frozenset({1, 2}))
+@example(table={1: 0.1, 2: 0.2, 3: 0.7}, ids=frozenset({2, 3}), cls=frozenset({1, 2, 4}))
+@settings(max_examples=300)
+def test_class_mask_equals_its_expansion(table, ids, cls):
+    """A termination class gives, on the explicit ids and the argmax, the very
+    floats the same mask expanded to explicit ids gives: with ids inside the
+    class, ties, and all-zero mass falling back to uniform."""
+    cached = MockBackend(default=table)
+    plain = ScriptedBackend({(0,): table}, cached)
+    expanded = next_distribution(cached, [0], LogitMask(ids | cls))
+    # The mock's second call reads the class's sums it cached on the first.
+    for backend in (cached, cached, plain):
+        dist = next_distribution(backend, [0], LogitMask(ids, cls))
+        assert dist.argmax == expanded.argmax
+        assert set(dist.probs) == ids | {dist.argmax}
+        assert all(dist.probs[t] == expanded.probs[t] for t in dist.probs)
+
+
+def test_class_mask_answers_without_expanding():
+    mask = LogitMask(frozenset({ADD}), frozenset({CLEAR, RET}))
+    assert CLEAR in mask and ADD in mask and 7 not in mask
+    assert "allowed" not in vars(mask)
+    assert mask.allowed == {ADD, CLEAR, RET}

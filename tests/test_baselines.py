@@ -117,6 +117,12 @@ class TestBeamSearch:
         scores = [b[1] for b in beams]
         assert scores == sorted(scores, reverse=True)
 
+    def test_equal_probabilities_expand_the_smallest_ids(self):
+        vocab = Vocabulary.from_texts(["(", "a", "b", "c"])
+        backend = MockBackend(default={3: 0.25, 2: 0.25, 1: 0.25, 0: 0.25})
+        beams = beam_search(backend, greedy_tokenize("a", vocab), vocab, width=2, max_steps=1)
+        assert [ident for ident, _ in beams] == ["", "a"]
+
     def test_width_larger_than_path_count(self, toy):
         vocab, backend, prefix = toy
         wide = beam_search(backend, prefix, vocab, width=500, max_steps=2)

@@ -11,6 +11,7 @@ from trierank import (
     build_tree,
     full_subtoken_map,
     greedy_tokenize,
+    mock_backend_from_spec,
     rank,
     ranking_record,
 )
@@ -164,6 +165,30 @@ class TestBuildAllowedSet:
         add_node = tree.root.children[vocab.id("add")]
         mask = build_allowed_set(add_node, full_subtoken_map(vocab), vocab, self.config())
         assert mask.allowed == {vocab.id("All"), vocab.id("("), vocab.id("."), vocab.id("\n")}
+
+    def test_termination_is_the_shared_class(self):
+        vocab = Vocabulary.from_texts(["add", "All", "(", ".", "\n"])
+        tree = build_tree(["add", "addAll"], vocab)
+        add_node = tree.root.children[vocab.id("add")]
+        mask = build_allowed_set(add_node, full_subtoken_map(vocab), vocab, self.config())
+        assert mask.ids == {vocab.id("All")}
+        assert mask.termination is vocab.termination_ids()
+
+    def test_constrained_rank_never_expands_the_class(self):
+        """A terminal-node step costs O(children): no constrained step reads
+        ``LogitMask.allowed``, the union with the whole termination class."""
+        vocab = Vocabulary.load("fixtures/vocab.tsv")
+        masks = []
+
+        class Recording(CountingBackend):
+            def next_distribution(self, context, allowed=None, query=None):
+                masks.append(allowed)
+                return super().next_distribution(context, allowed, query)
+
+        backend = Recording(mock_backend_from_spec("fixtures/mockspec.json", vocab))
+        rank(backend, greedy_tokenize("x.", vocab), ["add", "addAll", "clear"], vocab)
+        assert any(mask.termination for mask in masks)
+        assert all("allowed" not in vars(mask) for mask in masks)
 
     def test_childless_terminal_with_termination_off(self):
         vocab = Vocabulary.from_texts(["add"])

@@ -4,8 +4,19 @@ import urllib.request
 
 import pytest
 
-from trierank import MockBackend, SeededBackend, Vocabulary, next_distribution
+from trierank import (
+    LogitMask,
+    MockBackend,
+    SeededBackend,
+    Vocabulary,
+    build_tree,
+    full_subtoken_map,
+    greedy_tokenize,
+    next_distribution,
+    rank,
+)
 from trierank.errors import BackendUnavailable, ContextTooLong
+from trierank.ranking import DecodeConfig, build_allowed_set
 from trierank.remote import RemoteBackend, serve_backend
 
 
@@ -32,8 +43,8 @@ def test_remote_matches_local(served):
 
 def test_remote_masked_renormalization(served):
     vocab, local, remote = served
-    allowed = frozenset({vocab.id("add"), vocab.id("clear")})
-    dist = remote.next_distribution([vocab.id(".")], allowed)
+    mask = LogitMask(frozenset({vocab.id("add"), vocab.id("clear")}))
+    dist = remote.next_distribution([vocab.id(".")], mask)
     assert dist.probs[vocab.id("add")] == pytest.approx(0.7, abs=1e-12)
     assert dist.argmax == vocab.id("add")
 
@@ -121,3 +132,31 @@ def test_seeded_backend_over_the_wire_is_deterministic():
         assert a.probs == b.probs
     finally:
         server.shutdown()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_remote_matches_local_at_a_terminal_node(seed):
+    """The client expands the termination class on the wire; the server's
+    floats on the explicit ids, and its argmax, equal the local class path's."""
+    vocab = Vocabulary.from_texts(["x", ".", "(", ")", ";", "\n", "add", "All", "Al", "A", "a"])
+    local = SeededBackend(vocab.size, seed)
+    prefix = greedy_tokenize("x.", vocab)
+    tree = build_tree(["add", "addAll"], vocab)
+    node = tree.root.children[vocab.id("add")]
+    mask = build_allowed_set(node, full_subtoken_map(vocab), vocab, DecodeConfig())
+    assert mask.termination
+    context = [*prefix.ids, vocab.id("add")]
+    server, url = serve_backend(local)
+    try:
+        remote = RemoteBackend(url)
+        a = next_distribution(local, context, mask)
+        b = next_distribution(remote, context, mask)
+        assert a.argmax == b.argmax
+        assert all(a.probs[t] == b.probs[t] for t in a.probs)
+        candidates = ["add", "addAll", "a", "Al"]
+        via_local, local_stats = rank(local, prefix, candidates, vocab)
+        via_remote, remote_stats = rank(remote, prefix, candidates, vocab)
+        assert via_local == via_remote and local_stats == remote_stats
+    finally:
+        server.shutdown()
+        server.server_close()
