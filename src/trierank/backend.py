@@ -7,9 +7,10 @@ surviving support is renormalized), optionally reporting extra queried ids
 without constraining the argmax.
 
 A mask holds explicit ids plus, at a terminal node, the vocabulary's shared
-class of identifier-ending tokens. Backends that keep their tables cache each
-table's class mass and argmax, so a masked step costs O(explicit ids).
-``math.fsum`` totals make a class mask and its expansion give the same floats.
+class of identifier-ending tokens. The union is never built on the local path:
+a masked step costs O(explicit ids) in Python plus, with the class, a few
+passes over the class's values in C. ``math.fsum`` totals make a class mask
+and its expansion give the same floats.
 
 Two deterministic mock implementations back the test suite:
 
@@ -29,7 +30,8 @@ import random
 import struct
 import time
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -74,54 +76,44 @@ def _argmax(probs: Mapping[int, float]) -> int:
     return min(t for t, p in probs.items() if p == best)
 
 
-def _class_summary(
-    table: Mapping[int, float], cls: frozenset[int], cache: dict | None
-) -> tuple[list[float], int]:
-    """Floats whose exact sum is the exact mass of ``cls`` in ``table``, and the
-    class's argmax; kept in ``cache`` under the table's id. The entry holds the
-    table, so no other table can take that id while it is cached."""
-    key = (id(table), cls)
-    if cache is not None and key in cache:
-        return cache[key][1]
-    values = {t: table.get(t, 0.0) for t in cls}
-    # Each round's fsum is the correctly rounded rest, so the rest reaches 0 in a few.
-    partials: list[float] = []
-    while residual := math.fsum([*values.values(), *(-p for p in partials)]):
-        partials.append(residual)
-        if not math.isfinite(residual):  # NaN or infinite mass leaves no residual
-            break
-    summary = (partials, _argmax(values))
-    if cache is not None:
-        cache[key] = (table, summary)
-    return summary
+@lru_cache(maxsize=8)
+def _ascending(cls: frozenset[int]) -> tuple[int, ...]:
+    """The ids of ``cls`` in ascending order. A vocabulary has one termination
+    class, so every terminal step of every ranking reuses this."""
+    return tuple(sorted(cls))
 
 
 def _restrict(
-    table: Mapping[int, float], mask: LogitMask, cache: dict | None
+    table: Mapping[int, float], mask: LogitMask, query: Sequence[int] = ()
 ) -> tuple[dict[int, float], int]:
-    """Probabilities of the explicit ids and of the argmax, renormalized over
-    ``mask`` (uniform if no mass survives), and the argmax of the raw values,
-    ties to the smallest id. The total is the ``math.fsum`` of every admissible
-    value, each id once, so a class and its expansion give the same floats."""
+    """Probabilities renormalized over ``mask`` (uniform if no mass survives) for
+    the explicit ids, the ``query`` ids inside the mask and the argmax; the
+    argmax is taken on the raw values, ties to the smallest id. The total is the
+    ``math.fsum`` of every admissible value, each id once, so a class and its
+    expansion give the same floats. The class costs a few passes over its values
+    in C (``map``, ``max``, ``index``, ``fsum``) and no Python-level loop."""
     cls = mask.termination
-    masked = {t: table.get(t, 0.0) for t in sorted(mask.ids)}
-    outside = [p for t, p in masked.items() if t not in cls]
-    partials, top = _class_summary(table, cls, cache) if cls else ([], None)
-    argmax = _argmax(masked if top is None else {**masked, top: table.get(top, 0.0)})
+    explicit = mask.ids.union(q for q in query if q in mask)
+    masked = {t: table.get(t, 0.0) for t in sorted(explicit)}
+    values = [p for t, p in masked.items() if t not in cls]
+    candidates = masked
+    if cls:
+        order = _ascending(cls)
+        class_values = list(map(table.get, order, repeat(0.0)))
+        i = class_values.index(max(class_values))  # ascending: the smallest id at the maximum
+        candidates = {**masked, order[i]: class_values[i]}
+        values += class_values
+    argmax = _argmax(candidates)
     masked[argmax] = table.get(argmax, 0.0)
-    total = math.fsum(outside + partials)
+    total = math.fsum(values)
     if total <= 0.0:
-        share = 1.0 / (len(outside) + len(cls))
+        share = 1.0 / len(values)
         return {t: share for t in masked}, argmax
     return {t: p / total for t, p in masked.items()}, argmax
 
 
 class ModelBackend:
     """Abstract next-token-distribution provider."""
-
-    # A backend whose tables live as long as it does sets a dict here, and each
-    # table's class sums are cached in it.
-    _class_sums: dict | None = None
 
     def raw_distribution(self, context: Sequence[int]) -> dict[int, float]:
         """Unmasked probabilities over the backend's support for ``context``."""
@@ -134,11 +126,12 @@ class ModelBackend:
         query: Iterable[int] | None = None,
     ) -> Distribution:
         table = self.raw_distribution(context)
+        query = sorted(query or ())
         if allowed is not None:
-            probs, argmax = _restrict(table, allowed, self._class_sums)
+            probs, argmax = _restrict(table, allowed, query)
         else:
             probs, argmax = dict(table), _argmax(table)
-        for q in sorted(query or ()):
+        for q in query:
             probs.setdefault(q, 0.0)
         return Distribution(probs, argmax)
 
@@ -156,9 +149,11 @@ def next_distribution(
     """Query ``backend`` for the next-token distribution after ``context``.
 
     With ``mask``, probabilities are renormalized over the admissible set and
-    the argmax is taken within it (:func:`_restrict`). Without, the true
-    full-support argmax is returned and ``query`` ids are reported even when
-    the backend assigns them no mass. Raises :class:`EmptyInput` on an empty
+    the argmax is taken within it (:func:`_restrict`); they are reported for
+    the mask's explicit ids and the argmax, not for the whole termination
+    class. Without, the true full-support argmax is returned. Either way
+    ``query`` ids are reported: 0.0 when the backend assigns them no mass or
+    the mask excludes them. Raises :class:`EmptyInput` on an empty
     ``context``.
     """
     ids = context.ids if isinstance(context, TokenSeq) else tuple(context)
@@ -191,7 +186,6 @@ class MockBackend(ModelBackend):
                 raise MalformedSpec(f"duplicate suffix {key}")
             self.contexts[key] = _check_table(dict(table), f"suffix {key}")
         self.max_context = max_context
-        self._class_sums = {}
 
     def raw_distribution(self, context: Sequence[int]) -> dict[int, float]:
         if self.max_context is not None and len(context) > self.max_context:
@@ -279,7 +273,6 @@ class SeededBackend(ModelBackend):
         self.max_context = max_context
         self._key = struct.pack("<q", seed)
         self._cache: dict[tuple[int, ...], dict[int, float]] = {}
-        self._class_sums = {}
 
     def raw_distribution(self, context: Sequence[int]) -> dict[int, float]:
         if self.max_context is not None and len(context) > self.max_context:

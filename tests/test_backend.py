@@ -14,8 +14,6 @@ from trierank import (
 from trierank.backend import _argmax
 from trierank.errors import ContextTooLong, EmptyInput, MalformedSpec
 
-from support import ScriptedBackend
-
 ADD, CLEAR, RET = 0, 1, 2
 TABLE = {ADD: 0.6, CLEAR: 0.3, RET: 0.1}
 
@@ -188,24 +186,30 @@ def test_argmax_matches_the_sort_key_rule_in_any_table_order(probs):
     table=st.dictionaries(st.integers(0, 15), PROBS, min_size=1),
     ids=st.frozensets(st.integers(0, 15)),
     cls=st.frozensets(st.integers(0, 15), min_size=1),
+    query=st.frozensets(st.integers(0, 17)),
 )
-@example(table={0: 0.0, 1: 0.0}, ids=frozenset({3}), cls=frozenset({1, 2}))
-@example(table={1: 0.5, 2: 0.5, 3: 0.5}, ids=frozenset({2, 3}), cls=frozenset({1, 2}))
-@example(table={1: 0.1, 2: 0.2, 3: 0.7}, ids=frozenset({2, 3}), cls=frozenset({1, 2, 4}))
+@example(table={0: 0.0, 1: 0.0}, ids=frozenset({3}), cls=frozenset({1, 2}), query=frozenset())
+@example(
+    table={1: 0.5, 2: 0.5, 3: 0.5}, ids=frozenset({2, 3}), cls=frozenset({1, 2}), query=frozenset()
+)
+@example(
+    table={1: 0.1, 2: 0.2, 3: 0.7},
+    ids=frozenset({2, 3}),
+    cls=frozenset({1, 2, 4}),
+    query=frozenset({1, 5}),
+)
 @settings(max_examples=300)
-def test_class_mask_equals_its_expansion(table, ids, cls):
-    """A termination class gives, on the explicit ids and the argmax, the very
-    floats the same mask expanded to explicit ids gives: with ids inside the
-    class, ties, and all-zero mass falling back to uniform."""
-    cached = MockBackend(default=table)
-    plain = ScriptedBackend({(0,): table}, cached)
-    expanded = next_distribution(cached, [0], LogitMask(ids | cls))
-    # The mock's second call reads the class's sums it cached on the first.
-    for backend in (cached, cached, plain):
-        dist = next_distribution(backend, [0], LogitMask(ids, cls))
-        assert dist.argmax == expanded.argmax
-        assert set(dist.probs) == ids | {dist.argmax}
-        assert all(dist.probs[t] == expanded.probs[t] for t in dist.probs)
+def test_class_mask_equals_its_expansion(table, ids, cls, query):
+    """A termination class gives, on the explicit ids, the queried ids and the
+    argmax, the very floats the same mask expanded to explicit ids gives: with
+    ids inside the class, ties, and all-zero mass falling back to uniform. A
+    queried id inside the class keeps its mass; one outside the mask reads 0.0."""
+    backend = MockBackend(default=table)
+    expanded = next_distribution(backend, [0], LogitMask(ids | cls), query)
+    dist = next_distribution(backend, [0], LogitMask(ids, cls), query)
+    assert dist.argmax == expanded.argmax
+    assert set(dist.probs) == ids | query | {dist.argmax}
+    assert all(dist.probs[t] == expanded.probs[t] for t in dist.probs)
 
 
 def test_class_mask_answers_without_expanding():
