@@ -4,7 +4,9 @@ The engine only ever asks one question: "given this token context, what are
 the next-token probabilities?" — optionally restricted by a
 :class:`LogitMask` (masking semantics: disallowed logits at -inf, so the
 surviving support is renormalized), optionally reporting extra queried ids
-without constraining the argmax.
+without constraining the argmax. An unmasked ask may name how many of the
+most probable ids it reads (``top_k``); it then costs a selection over the
+table instead of a copy of it.
 
 A mask holds explicit ids plus, at a terminal node, the vocabulary's shared
 class of identifier-ending tokens. The union is never built on the local path:
@@ -24,6 +26,7 @@ Two deterministic mock implementations back the test suite:
 from __future__ import annotations
 
 import hashlib
+import heapq
 import json
 import math
 import random
@@ -43,10 +46,16 @@ MAX_SUFFIX_KEY = 4
 
 @dataclass(frozen=True)
 class Distribution:
-    """Probabilities over a reported support plus the argmax token id."""
+    """Probabilities over a reported support plus the argmax token id.
+
+    What ``probs`` holds depends on the ask (see :func:`next_distribution`):
+    the whole table, the masked step's ids, or the ``query`` ids plus the
+    ``top_k`` most probable ones. A backend may report more than was asked,
+    never less. ``argmax`` is ``None`` only for an unmasked ``top_k=0`` ask.
+    """
 
     probs: dict[int, float]
-    argmax: int
+    argmax: int | None
 
 
 @dataclass(frozen=True)
@@ -124,13 +133,23 @@ class ModelBackend:
         context: Sequence[int],
         allowed: LogitMask | None = None,
         query: Iterable[int] | None = None,
+        top_k: int | None = None,
     ) -> Distribution:
+        """Answer one ask (see :func:`next_distribution`): with ``allowed``, the
+        masked step's ids; with ``top_k``, the ``query`` ids plus the ``top_k``
+        most probable ids, and ``argmax`` ``None`` at ``top_k=0``; otherwise the
+        whole table. An override may report more than was asked, never less."""
         table = self.raw_distribution(context)
         query = sorted(query or ())
         if allowed is not None:
             probs, argmax = _restrict(table, allowed, query)
-        else:
+        elif top_k is None:
             probs, argmax = dict(table), _argmax(table)
+        else:
+            # ``nlargest`` is stable: over ascending ids, ties go to the smallest.
+            top = heapq.nlargest(top_k, sorted(table), key=table.__getitem__) if top_k else []
+            probs = {t: table.get(t, 0.0) for t in (*query, *top)}
+            argmax = top[0] if top else None
         for q in query:
             probs.setdefault(q, 0.0)
         return Distribution(probs, argmax)
@@ -145,21 +164,36 @@ def next_distribution(
     context: TokenSeq | Sequence[int],
     mask: LogitMask | None = None,
     query: Iterable[int] | None = None,
+    top_k: int | None = None,
 ) -> Distribution:
     """Query ``backend`` for the next-token distribution after ``context``.
 
     With ``mask``, probabilities are renormalized over the admissible set and
     the argmax is taken within it (:func:`_restrict`); they are reported for
     the mask's explicit ids and the argmax, not for the whole termination
-    class. Without, the true full-support argmax is returned. Either way
-    ``query`` ids are reported: 0.0 when the backend assigns them no mass or
-    the mask excludes them. Raises :class:`EmptyInput` on an empty
-    ``context``.
+    class. Without, the true full-support argmax is returned, and with it the
+    whole table when ``top_k`` is ``None``, or only the ``top_k`` most
+    probable ids (ties to the smallest id) when it is given; at ``top_k=0``
+    the argmax is ``None``. Either way ``query`` ids are reported: 0.0 when
+    the backend assigns them no mass or the mask excludes them. A backend may
+    report more than was asked (a remote one answers an unmasked ask with the
+    whole table). Raises :class:`EmptyInput` on an empty ``context`` and
+    ``ValueError`` on a negative ``top_k`` or one given with a mask.
     """
     ids = context.ids if isinstance(context, TokenSeq) else tuple(context)
     if not ids:
         raise EmptyInput("context must be non-empty")
-    return backend.next_distribution(ids, mask, query)
+    if top_k is not None and (top_k < 0 or mask is not None):
+        raise ValueError("top_k must be >= 0 and cannot be combined with a mask")
+    return _ask(backend, ids, mask, query, top_k)
+
+
+def _ask(backend, context, mask, query, top_k) -> Distribution:
+    """Pass ``top_k`` on only when given, so a backend whose
+    ``next_distribution`` takes three arguments still serves masked asks."""
+    if top_k is None:
+        return backend.next_distribution(context, mask, query)
+    return backend.next_distribution(context, mask, query, top_k)
 
 
 class MockBackend(ModelBackend):
@@ -304,9 +338,9 @@ class CountingBackend(ModelBackend):
         self.calls = 0
         self.first_response: float | None = None
 
-    def next_distribution(self, context, allowed=None, query=None) -> Distribution:
+    def next_distribution(self, context, allowed=None, query=None, top_k=None) -> Distribution:
         self.calls += 1
-        result = self.inner.next_distribution(context, allowed, query)
+        result = _ask(self.inner, context, allowed, query, top_k)
         if self.first_response is None:
             self.first_response = time.monotonic()
         return result

@@ -50,7 +50,7 @@ def greedy_complete(
     context = list(prefix.ids)
     text = ""
     for _ in range(max_steps):
-        dist = next_distribution(backend, context)
+        dist = next_distribution(backend, context, top_k=1)
         context.append(dist.argmax)
         text += vocab.texts[dist.argmax]
         if identifier_prefix(text) != text:
@@ -83,7 +83,9 @@ def beam_search(
             break
         expanded = [b for b in beams if b.finished]
         for beam in live:
-            dist = next_distribution(backend, list(prefix.ids) + list(beam.token_ids))
+            context = list(prefix.ids) + list(beam.token_ids)
+            # A backend may answer with more than ``width`` ids; the key picks the same ones.
+            dist = next_distribution(backend, context, top_k=width)
             top = heapq.nsmallest(width, dist.probs.items(), key=lambda kv: (-kv[1], kv[0]))
             for token, p in top:
                 text = beam.text + vocab.texts[token]
@@ -136,7 +138,7 @@ def beam_all(
         node, context, acc = stack.pop()
         if node.is_leaf:
             continue
-        dist = next_distribution(backend, context, query=node.children.keys())
+        dist = next_distribution(backend, context, query=node.children.keys(), top_k=0)
         for t in sorted(node.children, reverse=True):
             child = node.children[t]
             total = acc + _log(dist.probs[t])

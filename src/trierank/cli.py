@@ -31,7 +31,6 @@ from .evaluate import (
     tree_statistics,
 )
 from .ranking import DecodeConfig, ranking_record
-from .remote import RemoteBackend
 from .vocab import Vocabulary, boundary_merged, greedy_tokenize
 
 EXIT_OK, EXIT_CONFIG, EXIT_BACKEND = 0, 2, 3
@@ -143,6 +142,9 @@ def build_backend(config: RunConfig, vocab: Vocabulary) -> ModelBackend:
         except (OSError, TrierankError) as exc:
             raise ConfigError(f"cannot load mock spec {rest}: {exc}") from None
     if scheme == "remote":
+        # Imported here: urllib and http.server slow every cold start, mock ones too.
+        from .remote import RemoteBackend
+
         return RemoteBackend(rest)
     raise ConfigError(f"unknown backend scheme {scheme!r}")
 

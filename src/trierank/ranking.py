@@ -130,8 +130,8 @@ def rank(
             dist = next_distribution(backend, context, mask)
         else:
             # Unmasked; the admissible set is still queried so child
-            # probabilities and any selected subtoken's mass are reported.
-            dist = next_distribution(backend, context, query=mask.allowed)
+            # probabilities are reported, and the argmax carries its own mass.
+            dist = next_distribution(backend, context, query=mask.allowed, top_k=1)
         record_step(traces, node, dist)
         stats.steps_taken += 1
         pick = dist.argmax

@@ -13,9 +13,15 @@ Response::
 
     {"probs": {"<token id>": float, ...}, "argmax": int}
 
-A context exceeding the server's window yields HTTP 413 with
-``{"error": "context_too_long"}``; the client raises
-:class:`ContextTooLong`. Transport failures raise :class:`BackendUnavailable`.
+Without ``allowed`` the response holds the whole table, whatever the
+client's ``top_k``.
+
+A body that does not parse or validate yields HTTP 400 with
+``{"error": "bad_request"}``. A context exceeding the server's window yields
+HTTP 413 with ``{"error": "context_too_long"}``; the client raises
+:class:`ContextTooLong`. Anything else the backend raises yields HTTP 500
+with ``{"error": "internal"}``. The client raises
+:class:`BackendUnavailable` for 400, 500 and transport failures.
 
 :func:`serve_backend` wraps any local backend in a threaded HTTP server,
 optionally with a vocabulary so ``context_text`` requests can be tokenized
@@ -46,7 +52,9 @@ class RemoteBackend(ModelBackend):
     def session(self) -> "RemoteBackend":
         return RemoteBackend(self.endpoint, self.timeout)
 
-    def next_distribution(self, context, allowed=None, query=None) -> Distribution:
+    def next_distribution(self, context, allowed=None, query=None, top_k=None) -> Distribution:
+        """The server's answer; an unmasked one holds the whole table, which
+        covers any ``top_k``, so ``top_k`` never goes on the wire."""
         payload = {
             "context_tokens": list(context),
             "allowed": sorted(allowed.allowed) if allowed is not None else None,
@@ -92,18 +100,22 @@ def _make_handler(backend: ModelBackend, vocab: Vocabulary | None):
                     if text is None or vocab is None:
                         raise ValueError("no usable context in request")
                     context = list(greedy_tokenize(text, vocab).ids)
+                context = [int(t) for t in context]
                 if not context:
                     raise EmptyInput("context must be non-empty")
                 allowed, query = payload.get("allowed"), payload.get("query")
                 mask = None if allowed is None else LogitMask(frozenset(int(t) for t in allowed))
-                dist = backend.next_distribution(
-                    [int(t) for t in context], mask, [int(t) for t in query] if query else None
-                )
+                query = [int(t) for t in query] if query else None
+            except Exception as exc:  # any body that does not parse or validate
+                self._reply(400, {"error": "bad_request", "detail": str(exc)})
+                return
+            try:
+                dist = backend.next_distribution(context, mask, query)
             except ContextTooLong as exc:
                 self._reply(413, {"error": "context_too_long", "detail": str(exc)})
                 return
-            except Exception as exc:
-                self._reply(400, {"error": "bad_request", "detail": str(exc)})
+            except Exception:  # a fault of the backend, not of the request
+                self._reply(500, {"error": "internal"})
                 return
             self._reply(
                 200,

@@ -217,3 +217,33 @@ def test_class_mask_answers_without_expanding():
     assert CLEAR in mask and ADD in mask and 7 not in mask
     assert "allowed" not in vars(mask)
     assert mask.allowed == {ADD, CLEAR, RET}
+
+
+@given(
+    pairs=st.lists(st.tuples(st.integers(0, 40), PROBS), min_size=1, unique_by=lambda kv: kv[0]),
+    query=st.frozensets(st.integers(0, 45)),
+)
+@example(pairs=[(3, 0.5), (1, 0.5), (2, 0.5), (0, 0.0)], query=frozenset({0, 44}))
+@example(pairs=[(5, 0.0), (2, 0.0)], query=frozenset())
+@settings(max_examples=300)
+def test_top_k_answers_are_entries_of_the_full_answer(pairs, query):
+    """An unmasked ``top_k`` ask reports the queried ids plus the ``top_k`` most
+    probable ids, ties to the smallest id, in a table of any key order; every
+    reported value and the argmax are those of the whole-table answer."""
+    table = dict(pairs)
+    backend = MockBackend(default=table)
+    full = next_distribution(backend, [0], query=query)
+    by_rule = sorted(table, key=lambda t: (-table[t], t))
+    for k in (0, 1, len(table) // 2, len(table) + 3):
+        dist = next_distribution(backend, [0], query=query, top_k=k)
+        assert set(dist.probs) == query | set(by_rule[:k])
+        assert dist.probs == {t: full.probs[t] for t in dist.probs}
+        assert dist.argmax == (full.argmax if k else None)
+
+
+@pytest.mark.parametrize(
+    "mask, top_k", [(None, -1), (LogitMask(frozenset({ADD})), 0), (LogitMask(frozenset({ADD})), 3)]
+)
+def test_top_k_rejects_a_negative_count_or_a_mask(table_backend, mask, top_k):
+    with pytest.raises(ValueError):
+        next_distribution(table_backend, [9], mask, top_k=top_k)

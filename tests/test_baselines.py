@@ -1,10 +1,13 @@
+import itertools
 import math
 
 import pytest
 
 from trierank import (
     CountingBackend,
+    DecodeConfig,
     MockBackend,
+    SeededBackend,
     Vocabulary,
     beam_all,
     beam_search,
@@ -12,8 +15,12 @@ from trierank import (
     filter_to_candidates,
     greedy_complete,
     greedy_tokenize,
+    load_dataset,
+    mock_backend_from_spec,
     next_distribution,
+    rank,
 )
+from trierank.remote import RemoteBackend, serve_backend
 from trierank.vocab import identifier_prefix
 
 from support import random_model
@@ -217,3 +224,66 @@ class TestBeamAll:
         tree = build_tree(["add"], worked_vocab)
         with pytest.raises(ValueError):
             beam_all(worked_backend, tree, worked_prefix, alpha=-1.0)
+
+
+class _AskOnlyGuard(CountingBackend):
+    """Fails on any unmasked call that asks for the whole table."""
+
+    def next_distribution(self, context, allowed=None, query=None, top_k=None):
+        assert allowed is not None or top_k is not None, "unmasked call without top_k"
+        return super().next_distribution(context, allowed, query, top_k)
+
+
+def _models(seeds):
+    """(vocab, backend, [(prefix, candidates), ...]): the fixture points, then
+    one point per seed on a 2,000-token vocabulary of 1-3 letter pieces, a
+    third of them led by a space so that free generation ends."""
+    vocab = Vocabulary.load("fixtures/vocab.tsv")
+    dataset = load_dataset("fixtures/smoke.jsonl")
+    points = [(greedy_tokenize(p.prefix, vocab), p.candidates) for p in dataset]
+    yield vocab, mock_backend_from_spec("fixtures/mockspec.json", vocab), points
+    letters = "abcdefghijklmnop"
+    pieces = ["".join(p) for n in (1, 2, 3) for p in itertools.product(letters, repeat=n)]
+    vocab = Vocabulary.from_texts([".", "("] + pieces[:1332] + [" " + p for p in pieces[:666]])
+    point = (greedy_tokenize("a.", vocab), ["abc", "abcd", "abd", "ba", "bad", "cafe"])
+    for seed in seeds:
+        yield vocab, SeededBackend(2000, seed), [point]
+
+
+def _baseline_results(backend, vocab, prefix, candidates):
+    tree = build_tree(candidates, vocab)
+    return (
+        beam_all(backend, tree, prefix),
+        beam_search(backend, prefix, vocab, width=5),
+        greedy_complete(backend, prefix, vocab),
+    )
+
+
+class TestAskOnly:
+    def test_reference_strategies_never_ask_for_the_whole_table(self):
+        """beam_all, beam_search, greedy_complete and the unconstrained rank()
+        ablation name a ``top_k`` on every unmasked call."""
+        models = list(_models([0]))
+        for seed in range(5):
+            vocab, candidates, prefix, backend = random_model(seed, max_candidates=15)
+            models.append((vocab, backend, [(prefix, candidates)]))
+        for vocab, backend, points in models:
+            for prefix, candidates in points:
+                guard = _AskOnlyGuard(backend)
+                _baseline_results(guard, vocab, prefix, candidates)
+                beam_search(guard, prefix, vocab, width=1)
+                rank(guard, prefix, candidates, vocab, DecodeConfig(constrained=False))
+                assert guard.calls > 0
+
+    def test_remote_answers_give_the_local_results(self):
+        """A v1 server answers an unmasked ask with the whole table, more than
+        was asked; the three baselines read the same results from it."""
+        for vocab, backend, points in _models(range(3)):
+            server, url = serve_backend(backend)
+            try:
+                for prefix, candidates in points:
+                    local = _baseline_results(backend, vocab, prefix, candidates)
+                    assert _baseline_results(RemoteBackend(url), vocab, prefix, candidates) == local
+            finally:
+                server.shutdown()
+                server.server_close()

@@ -382,3 +382,11 @@ def test_console_script_entry():
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["ranking"]
+
+
+def test_cli_import_leaves_the_remote_client_unloaded():
+    """``trierank.remote`` (urllib, http.server) loads only for a ``remote:`` backend."""
+    import subprocess
+
+    code = "import sys, trierank.cli; assert 'trierank.remote' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], check=True)

@@ -7,6 +7,7 @@ import pytest
 from trierank import (
     LogitMask,
     MockBackend,
+    ModelBackend,
     SeededBackend,
     Vocabulary,
     build_tree,
@@ -97,6 +98,53 @@ def test_malformed_request_is_backend_error(served):
     # Server answers 400 for requests without a usable context.
     with pytest.raises(BackendUnavailable):
         bad._request({"allowed": None, "query": None})
+
+
+def post_raw(endpoint: str, body: bytes) -> tuple[int, dict]:
+    request = urllib.request.Request(endpoint, data=body)
+    try:
+        with urllib.request.urlopen(request) as response:
+            return response.status, json.loads(response.read())
+    except urllib.error.HTTPError as exc:
+        return exc.code, json.loads(exc.read())
+
+
+def test_unparsable_or_invalid_body_answers_400(served):
+    _, _, remote = served
+    for body in [
+        b"not json",
+        b"[1, 2]",
+        b'{"context_tokens": ["x"]}',
+        b'{"context_tokens": 5}',
+        b'{"context_tokens": [1], "allowed": []}',
+        b'{"context_tokens": [1], "query": [null]}',
+    ]:
+        code, reply = post_raw(remote.endpoint, body)
+        assert code == 400 and reply["error"] == "bad_request", body
+
+
+class _Crashing(ModelBackend):
+    def next_distribution(self, context, allowed=None, query=None):
+        raise RuntimeError("model process died")
+
+
+def test_backend_fault_answers_500_and_the_client_reports_it():
+    server, url = serve_backend(_Crashing())
+    try:
+        code, reply = post_raw(url, b'{"context_tokens": [1]}')
+        assert code == 500 and reply == {"error": "internal"}
+        with pytest.raises(BackendUnavailable, match="HTTP 500"):
+            RemoteBackend(url).next_distribution([1])
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+def test_remote_top_k_is_answered_with_the_whole_table(served):
+    """``top_k`` never goes on the wire: the answer is the full unmasked table."""
+    vocab, local, remote = served
+    context = [vocab.id(".")]
+    assert next_distribution(remote, context, top_k=1) == next_distribution(local, context)
 
 
 @pytest.mark.parametrize("context", [{"context_tokens": []}, {"context_text": ""}])
