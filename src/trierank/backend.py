@@ -299,18 +299,15 @@ class SeededBackend(ModelBackend):
     distribution enough that greedy decodes branch decisively.
     """
 
-    def __init__(self, vocab_size: int, seed: int, max_context: int | None = None):
+    def __init__(self, vocab_size: int, seed: int):
         if vocab_size < 1:
             raise ValueError("vocab_size must be >= 1")
         self.vocab_size = vocab_size
         self.seed = seed
-        self.max_context = max_context
         self._key = struct.pack("<q", seed)
         self._cache: dict[tuple[int, ...], dict[int, float]] = {}
 
     def raw_distribution(self, context: Sequence[int]) -> dict[int, float]:
-        if self.max_context is not None and len(context) > self.max_context:
-            raise ContextTooLong(f"context of {len(context)} tokens exceeds {self.max_context}")
         key = tuple(context)
         cached = self._cache.get(key)
         if cached is not None:

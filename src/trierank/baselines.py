@@ -25,7 +25,6 @@ class BeamHypothesis:
     text: str
     cum_logprob: float
     finished: bool
-    order: int  # creation index, stable tie-break
 
 
 @dataclass(frozen=True)
@@ -70,13 +69,14 @@ def beam_search(
     Each live beam expands over its top-``width`` tokens; the global
     top-``width`` hypotheses by cumulative log-probability survive. A beam
     finishes once its text crosses an identifier boundary (the boundary
-    token's log-probability is included). Returns distinct identifier
+    token's log-probability is included). Equal scores keep their creation
+    order: carried-over finished beams, already ranked, precede the new
+    ones, which keep their expansion order. Returns distinct identifier
     strings with their best scores, descending.
     """
     if width < 1:
         raise ValueError("width must be >= 1")
-    beams = [BeamHypothesis((), "", 0.0, False, 0)]
-    counter = 1
+    beams = [BeamHypothesis((), "", 0.0, False)]
     for _ in range(max_steps):
         live = [b for b in beams if not b.finished]
         if not live:
@@ -92,19 +92,15 @@ def beam_search(
                 finished = identifier_prefix(text) != text
                 expanded.append(
                     BeamHypothesis(
-                        beam.token_ids + (token,),
-                        text,
-                        beam.cum_logprob + _log(p),
-                        finished,
-                        counter,
+                        beam.token_ids + (token,), text, beam.cum_logprob + _log(p), finished
                     )
                 )
-                counter += 1
-        expanded.sort(key=lambda b: (-b.cum_logprob, b.order))
+        # Stable: equal scores keep the order they were appended in.
+        expanded.sort(key=lambda b: -b.cum_logprob)
         beams = expanded[:width]
     results: list[tuple[str, float]] = []
     seen: set[str] = set()
-    for beam in sorted(beams, key=lambda b: (-b.cum_logprob, b.order)):
+    for beam in beams:
         ident = identifier_prefix(beam.text)
         if ident not in seen:
             seen.add(ident)

@@ -83,11 +83,11 @@ def build_allowed_set(
 
 def record_step(traces: list[list[float]], node: TreeNode, dist) -> None:
     """Append each child edge's probability to the traces of its members."""
-    for t in sorted(node.children):
+    for t, child in node.children.items():
         p = dist.probs.get(t)
         if p is None:
             raise MissingChildProbability(f"distribution lacks child token {t}")
-        for i in node.children[t].members:
+        for i in child.members:
             traces[i].append(p)
 
 
@@ -107,8 +107,6 @@ def rank(
     tree = build_tree(candidates, vocab)
     traces: list[list[float]] = [[] for _ in candidates]
     stats = DecodeStats()
-    termination = vocab.termination_ids()
-    context = list(prefix.ids)
     node = tree.root
 
     while stats.steps_taken < config.max_steps:
@@ -126,12 +124,14 @@ def rank(
             break
 
         mask = build_allowed_set(node, submap, vocab, config)
+        context = prefix.ids + tuple(stats.committed_tokens)
         if config.constrained:
             dist = next_distribution(backend, context, mask)
         else:
-            # Unmasked; the admissible set is still queried so child
-            # probabilities are reported, and the argmax carries its own mass.
-            dist = next_distribution(backend, context, query=mask.allowed, top_k=1)
+            # Unmasked: the traces read only the explicit ids, so only they
+            # are queried; the argmax comes with its own mass for a split, and
+            # the termination class is only tested for membership.
+            dist = next_distribution(backend, context, query=mask.ids, top_k=1)
         record_step(traces, node, dist)
         stats.steps_taken += 1
         pick = dist.argmax
@@ -139,23 +139,17 @@ def rank(
 
         child = node.children.get(pick)
         if child is not None:
-            context.append(pick)
             stats.committed_tokens.append(pick)
             node = child
             continue
 
-        if (
-            node.terminal_for is not None
-            and config.include_termination_mass
-            and pick in termination
-        ):
+        if pick in mask.termination:
             stats.identified = node.terminal_for
             break
 
         main = tree.main_token_push(node, pick, submap)
         if main is not None:
             stats.pushes += 1
-            context.append(main)
             stats.committed_tokens.append(main)
             node = node.children[main]
             continue
@@ -169,7 +163,6 @@ def rank(
         stats.splits += 1
         for i in node.members:
             traces[i][-1] = dist.probs[pick]
-        context.append(pick)
         stats.committed_tokens.append(pick)
 
     ranked = rank_from_traces(traces, tree.identifiers)

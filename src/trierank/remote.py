@@ -20,8 +20,9 @@ A body that does not parse or validate yields HTTP 400 with
 ``{"error": "bad_request"}``. A context exceeding the server's window yields
 HTTP 413 with ``{"error": "context_too_long"}``; the client raises
 :class:`ContextTooLong`. Anything else the backend raises yields HTTP 500
-with ``{"error": "internal"}``. The client raises
-:class:`BackendUnavailable` for 400, 500 and transport failures.
+with ``{"error": "internal"}`` and is logged server-side with its traceback.
+The client raises :class:`BackendUnavailable` for 400, 500 and transport
+failures.
 
 :func:`serve_backend` wraps any local backend in a threaded HTTP server,
 optionally with a vocabulary so ``context_text`` requests can be tokenized
@@ -32,6 +33,7 @@ model's tokenizer).
 from __future__ import annotations
 
 import json
+import logging
 import threading
 import urllib.error
 import urllib.request
@@ -115,6 +117,7 @@ def _make_handler(backend: ModelBackend, vocab: Vocabulary | None):
                 self._reply(413, {"error": "context_too_long", "detail": str(exc)})
                 return
             except Exception:  # a fault of the backend, not of the request
+                logging.getLogger(__name__).exception("backend failed to answer a request")
                 self._reply(500, {"error": "internal"})
                 return
             self._reply(
@@ -141,9 +144,11 @@ def serve_backend(
 ) -> tuple[ThreadingHTTPServer, str]:
     """Expose ``backend`` over the protocol; returns (server, endpoint URL).
 
-    The server runs on a daemon thread; call ``server.shutdown()`` when done.
+    The server runs on a daemon thread; call ``server.shutdown()`` and then
+    ``server.server_close()`` when done.
     """
     server = ThreadingHTTPServer((host, port), _make_handler(backend, vocab))
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # ``shutdown()`` waits up to one poll interval; the library default is 0.5 s.
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
     thread.start()
     return server, f"http://{server.server_address[0]}:{server.server_address[1]}/"

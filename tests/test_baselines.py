@@ -1,5 +1,7 @@
+import heapq
 import itertools
 import math
+import random
 
 import pytest
 
@@ -135,6 +137,68 @@ class TestBeamSearch:
         wide = beam_search(backend, prefix, vocab, width=500, max_steps=2)
         wider = beam_search(backend, prefix, vocab, width=1000, max_steps=2)
         assert wide == wider
+
+
+def _counter_beam_search(backend, prefix, vocab, width, max_steps):
+    """The former ``beam_search``: ties broken by an explicit creation counter,
+    and a final re-sort. The reference for the stability-based tie rule."""
+    beams = [((), "", 0.0, False, 0)]  # token ids, text, score, finished, creation index
+    counter = 1
+    for _ in range(max_steps):
+        live = [b for b in beams if not b[3]]
+        if not live:
+            break
+        expanded = [b for b in beams if b[3]]
+        for ids, text, score, _, _ in live:
+            dist = next_distribution(backend, list(prefix.ids) + list(ids), top_k=width)
+            top = heapq.nsmallest(width, dist.probs.items(), key=lambda kv: (-kv[1], kv[0]))
+            for token, p in top:
+                grown = text + vocab.texts[token]
+                logp = math.log(p) if p > 0.0 else float("-inf")
+                finished = identifier_prefix(grown) != grown
+                expanded.append((ids + (token,), grown, score + logp, finished, counter))
+                counter += 1
+        expanded.sort(key=lambda b: (-b[2], b[4]))
+        beams = expanded[:width]
+    results, seen = [], set()
+    for _, text, score, _, _ in sorted(beams, key=lambda b: (-b[2], b[4])):
+        ident = identifier_prefix(text)
+        if ident not in seen:
+            seen.add(ident)
+            results.append((ident, score))
+    return results
+
+
+def _tie_heavy_backend(rng: random.Random, size: int) -> MockBackend:
+    """Integer weights 0-3 on one- and two-token suffixes: equal scores are common."""
+
+    def table():
+        return {t: rng.randint(0, 3) for t in range(size)}
+
+    contexts = {(t,): table() for t in range(size)}
+    for _ in range(size):
+        contexts.setdefault((rng.randrange(size), rng.randrange(size)), table())
+    return MockBackend(table(), contexts)
+
+
+class TestBeamTies:
+    WIDTHS = (1, 2, 5, 20)
+
+    def test_matches_the_counter_based_reference(self):
+        """Sort stability orders equal scores as the creation counter did."""
+        vocab = Vocabulary.from_texts(["x", ".", "a", "b", "ab", "ba", "(", " a", "c"])
+        prefix = greedy_tokenize("x.", vocab)
+        rng = random.Random(0)
+        models = [_tie_heavy_backend(rng, vocab.size) for _ in range(60)]
+        models += [SeededBackend(vocab.size, seed) for seed in range(10)]
+        ties = 0
+        for backend in models:
+            for width in self.WIDTHS:
+                for max_steps in range(1, 5):
+                    got = beam_search(backend, prefix, vocab, width, max_steps)
+                    assert got == _counter_beam_search(backend, prefix, vocab, width, max_steps)
+                    ties += len({score for _, score in got}) < len(got)
+        assert ties > 0
 
 
 class TestFilter:

@@ -176,19 +176,36 @@ class TestBuildAllowedSet:
 
     def test_constrained_rank_never_expands_the_class(self):
         """A terminal-node step costs O(children): no constrained step reads
-        ``LogitMask.allowed``, the union with the whole termination class."""
+        ``LogitMask.allowed``, the union with the whole termination class, and
+        an unconstrained step queries only the node's explicit ids."""
         vocab = Vocabulary.load("fixtures/vocab.tsv")
-        masks = []
+        candidates = ["add", "addAll", "clear"]
+        tree = build_tree(candidates, vocab)
+        terminal = tree.root.children[vocab.id("add")]
+        assert terminal.terminal_for is not None and terminal.children
+        explicit = [
+            build_allowed_set(node, full_subtoken_map(vocab), vocab, self.config()).ids
+            for node in (tree.root, terminal)
+        ]
+        for constrained in (True, False):
+            asks = []
 
-        class Recording(CountingBackend):
-            def next_distribution(self, context, allowed=None, query=None):
-                masks.append(allowed)
-                return super().next_distribution(context, allowed, query)
+            class Recording(CountingBackend):
+                def next_distribution(self, context, allowed=None, query=None, top_k=None):
+                    asks.append((allowed, query))
+                    return super().next_distribution(context, allowed, query, top_k)
 
-        backend = Recording(mock_backend_from_spec("fixtures/mockspec.json", vocab))
-        rank(backend, greedy_tokenize("x.", vocab), ["add", "addAll", "clear"], vocab)
-        assert any(mask.termination for mask in masks)
-        assert all("allowed" not in vars(mask) for mask in masks)
+            backend = Recording(mock_backend_from_spec("fixtures/mockspec.json", vocab))
+            config = self.config(constrained=constrained)
+            rank(backend, greedy_tokenize("x.", vocab), candidates, vocab, config)
+            if constrained:
+                masks = [mask for mask, _ in asks]
+                assert any(mask.termination for mask in masks)
+                assert all("allowed" not in vars(mask) for mask in masks)
+            else:
+                # The root, then the terminal node "add" (argmax "All", a leaf).
+                assert [mask for mask, _ in asks] == [None, None]
+                assert [frozenset(query) for _, query in asks] == explicit
 
     def test_childless_terminal_with_termination_off(self):
         vocab = Vocabulary.from_texts(["add"])

@@ -1,4 +1,5 @@
 import json
+import logging
 import urllib.error
 import urllib.request
 
@@ -32,6 +33,7 @@ def served():
     server, url = serve_backend(backend, vocab)
     yield vocab, backend, RemoteBackend(url)
     server.shutdown()
+    server.server_close()
 
 
 def test_remote_matches_local(served):
@@ -128,11 +130,16 @@ class _Crashing(ModelBackend):
         raise RuntimeError("model process died")
 
 
-def test_backend_fault_answers_500_and_the_client_reports_it():
+def test_backend_fault_answers_500_and_the_client_reports_it(caplog):
+    """The wire says only "internal"; the cause is logged on the server side."""
     server, url = serve_backend(_Crashing())
     try:
-        code, reply = post_raw(url, b'{"context_tokens": [1]}')
+        with caplog.at_level(logging.ERROR, logger="trierank.remote"):
+            code, reply = post_raw(url, b'{"context_tokens": [1]}')
         assert code == 500 and reply == {"error": "internal"}
+        (record,) = [r for r in caplog.records if r.name == "trierank.remote"]
+        assert record.exc_info[0] is RuntimeError
+        assert "model process died" in caplog.text
         with pytest.raises(BackendUnavailable, match="HTTP 500"):
             RemoteBackend(url).next_distribution([1])
     finally:
@@ -180,6 +187,7 @@ def test_seeded_backend_over_the_wire_is_deterministic():
         assert a.probs == b.probs
     finally:
         server.shutdown()
+        server.server_close()
 
 
 @pytest.mark.parametrize("seed", range(4))
