@@ -121,6 +121,19 @@ def _restrict(
     return {t: p / total for t, p in masked.items()}, argmax
 
 
+def top_k_answer(
+    table: Mapping[int, float], query: Sequence[int], top_k: int
+) -> tuple[dict[int, float], int | None]:
+    """The unmasked ask-only answer: the ``query`` ids (0.0 outside ``table``)
+    plus the ``top_k`` most probable ids, ties to the smallest id, and the
+    argmax, ``None`` at ``top_k=0``. The local path and the remote server's trim
+    both answer with this, so their floats and ties are the same code."""
+    # ``nlargest`` is stable: over ascending ids, ties go to the smallest.
+    top = heapq.nlargest(top_k, sorted(table), key=table.__getitem__) if top_k else []
+    probs = {t: table.get(t, 0.0) for t in (*query, *top)}
+    return probs, (top[0] if top else None)
+
+
 class ModelBackend:
     """Abstract next-token-distribution provider."""
 
@@ -146,10 +159,7 @@ class ModelBackend:
         elif top_k is None:
             probs, argmax = dict(table), _argmax(table)
         else:
-            # ``nlargest`` is stable: over ascending ids, ties go to the smallest.
-            top = heapq.nlargest(top_k, sorted(table), key=table.__getitem__) if top_k else []
-            probs = {t: table.get(t, 0.0) for t in (*query, *top)}
-            argmax = top[0] if top else None
+            probs, argmax = top_k_answer(table, query, top_k)
         for q in query:
             probs.setdefault(q, 0.0)
         return Distribution(probs, argmax)
@@ -157,6 +167,10 @@ class ModelBackend:
     def session(self) -> "ModelBackend":
         """Per-completion-point handle; immutable backends may share self."""
         return self
+
+    def close(self) -> None:
+        """Release what the backend holds open, such as a connection; the
+        next ask may open it again. A local backend holds nothing."""
 
 
 def next_distribution(
@@ -176,8 +190,8 @@ def next_distribution(
     probable ids (ties to the smallest id) when it is given; at ``top_k=0``
     the argmax is ``None``. Either way ``query`` ids are reported: 0.0 when
     the backend assigns them no mass or the mask excludes them. A backend may
-    report more than was asked (a remote one answers an unmasked ask with the
-    whole table). Raises :class:`EmptyInput` on an empty ``context`` and
+    report more than was asked (a v1 remote server answers an unmasked ask
+    with the whole table). Raises :class:`EmptyInput` on an empty ``context`` and
     ``ValueError`` on a negative ``top_k`` or one given with a mask.
     """
     ids = context.ids if isinstance(context, TokenSeq) else tuple(context)
@@ -344,3 +358,6 @@ class CountingBackend(ModelBackend):
 
     def session(self) -> "CountingBackend":
         return CountingBackend(self.inner.session())
+
+    def close(self) -> None:
+        self.inner.close()

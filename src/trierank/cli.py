@@ -142,7 +142,7 @@ def build_backend(config: RunConfig, vocab: Vocabulary) -> ModelBackend:
         except (OSError, TrierankError) as exc:
             raise ConfigError(f"cannot load mock spec {rest}: {exc}") from None
     if scheme == "remote":
-        # Imported here: urllib and http.server slow every cold start, mock ones too.
+        # Imported here: http.client and http.server slow every cold start, mock ones too.
         from .remote import RemoteBackend
 
         return RemoteBackend(rest)

@@ -227,8 +227,11 @@ def _evaluate_point(adapter, point, gt_len: int, backend, ctx: StrategyContext) 
 
     def one_run() -> tuple[StrategyResult, int, float]:
         session = CountingBackend(backend.session())
-        result = adapter(point, session, ctx)
-        end = time.monotonic()
+        try:
+            result = adapter(point, session, ctx)
+            end = time.monotonic()
+        finally:
+            session.close()
         elapsed = (end - session.first_response) if session.first_response else 0.0
         return result, session.calls, elapsed
 

@@ -1,6 +1,7 @@
 import pytest
 
 from trierank import MockBackend, Vocabulary, greedy_tokenize
+from trierank.remote import RemoteBackend
 
 WORKED_TOKENS = ["x", ".", "add", "All", "clear", "cl", "Al", "(", "ret"]
 
@@ -36,3 +37,18 @@ def worked_prefix(worked_vocab):
 @pytest.fixture
 def worked_candidates():
     return ["add", "addAll", "clear"]
+
+
+@pytest.fixture
+def connect():
+    """``connect(url)`` is a :class:`RemoteBackend` whose kept-alive connection
+    is closed when the test ends."""
+    clients = []
+
+    def connect(endpoint: str) -> RemoteBackend:
+        clients.append(RemoteBackend(endpoint))
+        return clients[-1]
+
+    yield connect
+    for client in clients:
+        client.close()

@@ -1,5 +1,7 @@
 import heapq
+import io
 import itertools
+import json
 import math
 import random
 
@@ -339,15 +341,45 @@ class TestAskOnly:
                 rank(guard, prefix, candidates, vocab, DecodeConfig(constrained=False))
                 assert guard.calls > 0
 
-    def test_remote_answers_give_the_local_results(self):
-        """A v1 server answers an unmasked ask with the whole table, more than
-        was asked; the three baselines read the same results from it."""
+    def test_remote_answers_give_the_local_results(self, connect):
+        """The server trims an unmasked ask to the ``query`` ids and the
+        ``top_k`` best ids, as a local ask does; the three baselines read the
+        same results from it."""
         for vocab, backend, points in _models(range(3)):
             server, url = serve_backend(backend)
             try:
                 for prefix, candidates in points:
                     local = _baseline_results(backend, vocab, prefix, candidates)
-                    assert _baseline_results(RemoteBackend(url), vocab, prefix, candidates) == local
+                    assert _baseline_results(connect(url), vocab, prefix, candidates) == local
+            finally:
+                server.shutdown()
+                server.server_close()
+
+    def test_an_old_server_gives_the_local_results(self, connect):
+        """A v1 server speaks HTTP/1.0, closing each connection, and ignores
+        ``top_k``, answering with the whole table: more than was asked, from
+        which the three baselines read the same results."""
+        for vocab, backend, points in _models(range(2)):
+            server, url = serve_backend(backend)
+            asks = []
+
+            class V1Handler(server.RequestHandlerClass):
+                protocol_version = "HTTP/1.0"
+
+                def do_POST(self):
+                    payload = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+                    asks.append(payload.pop("top_k", None))
+                    body = json.dumps(payload).encode()
+                    self.rfile = io.BytesIO(body)
+                    self.headers.replace_header("Content-Length", str(len(body)))
+                    super().do_POST()
+
+            server.RequestHandlerClass = V1Handler
+            try:
+                for prefix, candidates in points:
+                    local = _baseline_results(backend, vocab, prefix, candidates)
+                    assert _baseline_results(connect(url), vocab, prefix, candidates) == local
+                assert asks and None not in asks  # every baseline ask named a top_k
             finally:
                 server.shutdown()
                 server.server_close()

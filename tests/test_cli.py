@@ -385,7 +385,7 @@ def test_console_script_entry():
 
 
 def test_cli_import_leaves_the_remote_client_unloaded():
-    """``trierank.remote`` (urllib, http.server) loads only for a ``remote:`` backend."""
+    """``trierank.remote`` (http.client, http.server) loads only for a ``remote:`` backend."""
     import subprocess
 
     code = "import sys, trierank.cli; assert 'trierank.remote' not in sys.modules"

@@ -14,6 +14,7 @@ from trierank import (
 from trierank.errors import ContextTooLong, EmptyCandidateList, EmptyInput
 from trierank.evaluate import EvalConfig, UnknownStrategy, evaluate, tree_statistics
 from trierank.ranking import DecodeConfig
+from trierank.remote import RemoteBackend, serve_backend
 
 FIXTURES = "fixtures"
 
@@ -158,6 +159,43 @@ class TestHarnessBehavior:
         serial = evaluate("treeranker", dataset, backend, vocab)
         parallel = evaluate("treeranker", dataset, backend, vocab, EvalConfig(jobs=4))
         assert serial.to_json(include_timing=False) == parallel.to_json(include_timing=False)
+
+    def test_every_session_is_closed(self, fixture_env):
+        """Each run of a strategy on a point closes its session when done."""
+        vocab, backend, dataset = fixture_env
+        sessions = []
+
+        class Tracked(ModelBackend):
+            def __init__(self, inner):
+                self.inner, self.closed = inner, False
+
+            def next_distribution(self, context, allowed=None, query=None, top_k=None):
+                return self.inner.next_distribution(context, allowed, query, top_k)
+
+            def session(self):
+                sessions.append(Tracked(self.inner))
+                return sessions[-1]
+
+            def close(self):
+                self.closed = True
+
+        evaluate(["treeranker", "beamall"], dataset, Tracked(backend), vocab, EvalConfig(runs=2))
+        assert len(sessions) == 2 * 2 * len(dataset.points)
+        assert all(s.closed for s in sessions)
+
+    def test_jobs_parallel_over_the_wire_matches_local(self, fixture_env):
+        """Each point's session has its own kept-alive connection, so threads
+        never share a socket."""
+        vocab, backend, dataset = fixture_env
+        strategies = ["treeranker", "beamall", "greedy", "beam5"]
+        server, url = serve_backend(backend)
+        try:
+            local = evaluate(strategies, dataset, backend, vocab)
+            remote = evaluate(strategies, dataset, RemoteBackend(url), vocab, EvalConfig(jobs=2))
+            assert local.to_json(include_timing=False) == remote.to_json(include_timing=False)
+        finally:
+            server.shutdown()
+            server.server_close()
 
     def test_table_rendering(self, fixture_env):
         vocab, backend, dataset = fixture_env

@@ -1,5 +1,8 @@
 import json
 import logging
+import socket
+import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -19,11 +22,12 @@ from trierank import (
 )
 from trierank.errors import BackendUnavailable, ContextTooLong
 from trierank.ranking import DecodeConfig, build_allowed_set
-from trierank.remote import RemoteBackend, serve_backend
+from trierank.remote import MAX_BODY_BYTES, RemoteBackend, serve_backend
 
 
 @pytest.fixture
-def served():
+def hosted():
+    """(vocab, local backend, server, endpoint) of a loopback server."""
     vocab = Vocabulary.from_texts(["x", ".", "add", "clear"])
     backend = MockBackend(
         default={vocab.id("x"): 1.0},
@@ -31,9 +35,15 @@ def served():
         max_context=16,
     )
     server, url = serve_backend(backend, vocab)
-    yield vocab, backend, RemoteBackend(url)
+    yield vocab, backend, server, url
     server.shutdown()
     server.server_close()
+
+
+@pytest.fixture
+def served(hosted, connect):
+    vocab, backend, _, url = hosted
+    return vocab, backend, connect(url)
 
 
 def test_remote_matches_local(served):
@@ -94,9 +104,9 @@ def test_unreachable_endpoint():
         remote.next_distribution([1])
 
 
-def test_malformed_request_is_backend_error(served):
+def test_malformed_request_is_backend_error(served, connect):
     _, _, remote = served
-    bad = RemoteBackend(remote.endpoint)
+    bad = connect(remote.endpoint)
     # Server answers 400 for requests without a usable context.
     with pytest.raises(BackendUnavailable):
         bad._request({"allowed": None, "query": None})
@@ -120,6 +130,11 @@ def test_unparsable_or_invalid_body_answers_400(served):
         b'{"context_tokens": 5}',
         b'{"context_tokens": [1], "allowed": []}',
         b'{"context_tokens": [1], "query": [null]}',
+        b'{"context_tokens": [1], "top_k": -1}',
+        b'{"context_tokens": [1], "top_k": 1.0}',
+        b'{"context_tokens": [1], "top_k": "2"}',
+        b'{"context_tokens": [1], "top_k": true}',
+        b'{"context_tokens": [1], "top_k": 1, "allowed": [1]}',
     ]:
         code, reply = post_raw(remote.endpoint, body)
         assert code == 400 and reply["error"] == "bad_request", body
@@ -130,7 +145,7 @@ class _Crashing(ModelBackend):
         raise RuntimeError("model process died")
 
 
-def test_backend_fault_answers_500_and_the_client_reports_it(caplog):
+def test_backend_fault_answers_500_and_the_client_reports_it(caplog, connect):
     """The wire says only "internal"; the cause is logged on the server side."""
     server, url = serve_backend(_Crashing())
     try:
@@ -141,17 +156,37 @@ def test_backend_fault_answers_500_and_the_client_reports_it(caplog):
         assert record.exc_info[0] is RuntimeError
         assert "model process died" in caplog.text
         with pytest.raises(BackendUnavailable, match="HTTP 500"):
-            RemoteBackend(url).next_distribution([1])
+            connect(url).next_distribution([1])
     finally:
         server.shutdown()
         server.server_close()
 
 
-def test_remote_top_k_is_answered_with_the_whole_table(served):
-    """``top_k`` never goes on the wire: the answer is the full unmasked table."""
-    vocab, local, remote = served
-    context = [vocab.id(".")]
-    assert next_distribution(remote, context, top_k=1) == next_distribution(local, context)
+def _ask_only_backends():
+    """A sparse table with tied and zero entries and unlisted low ids, and a
+    full-support seeded one."""
+    yield MockBackend(default={5: 0.2, 1: 0.2, 7: 0.1, 3: 0.4, 9: 0.0, 4: 0.1}), 6
+    yield SeededBackend(40, seed=3), 40
+
+
+@pytest.mark.parametrize(
+    "query", [None, [3], [0, 3, 8, 60]], ids=["no-query", "inside", "inside-and-outside"]
+)
+def test_remote_top_k_answer_equals_the_local_one(query, connect):
+    """An unmasked ``top_k`` ask is answered on the wire with exactly the local
+    answer: the queried ids, inside the table or not, plus the ``top_k`` most
+    probable ids, and ``argmax`` ``None`` at ``top_k=0``."""
+    for backend, size in _ask_only_backends():
+        server, url = serve_backend(backend)
+        try:
+            remote = connect(url)
+            for top_k in (0, 1, size // 2, size, size + 3):
+                local = next_distribution(backend, [1, 2], query=query, top_k=top_k)
+                assert next_distribution(remote, [1, 2], query=query, top_k=top_k) == local
+                assert (local.argmax is None) == (top_k == 0)
+        finally:
+            server.shutdown()
+            server.server_close()
 
 
 @pytest.mark.parametrize("context", [{"context_tokens": []}, {"context_text": ""}])
@@ -179,11 +214,11 @@ def test_remote_drives_full_ranking(served):
     assert [r.identifier for r in via_remote] == [r.identifier for r in via_local]
 
 
-def test_seeded_backend_over_the_wire_is_deterministic():
+def test_seeded_backend_over_the_wire_is_deterministic(connect):
     server, url = serve_backend(SeededBackend(8, seed=5))
     try:
-        a = RemoteBackend(url).next_distribution([1, 2])
-        b = RemoteBackend(url).next_distribution([1, 2])
+        a = connect(url).next_distribution([1, 2])
+        b = connect(url).next_distribution([1, 2])
         assert a.probs == b.probs
     finally:
         server.shutdown()
@@ -191,7 +226,7 @@ def test_seeded_backend_over_the_wire_is_deterministic():
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_remote_matches_local_at_a_terminal_node(seed):
+def test_remote_matches_local_at_a_terminal_node(seed, connect):
     """The client expands the termination class on the wire; the server's
     floats on the explicit ids, and its argmax, equal the local class path's."""
     vocab = Vocabulary.from_texts(["x", ".", "(", ")", ";", "\n", "add", "All", "Al", "A", "a"])
@@ -204,7 +239,7 @@ def test_remote_matches_local_at_a_terminal_node(seed):
     context = [*prefix.ids, vocab.id("add")]
     server, url = serve_backend(local)
     try:
-        remote = RemoteBackend(url)
+        remote = connect(url)
         a = next_distribution(local, context, mask)
         b = next_distribution(remote, context, mask)
         assert a.argmax == b.argmax
@@ -213,6 +248,194 @@ def test_remote_matches_local_at_a_terminal_node(seed):
         via_local, local_stats = rank(local, prefix, candidates, vocab)
         via_remote, remote_stats = rank(remote, prefix, candidates, vocab)
         assert via_local == via_remote and local_stats == remote_stats
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+
+def count_connections(server) -> list:
+    """The connections ``server`` accepts from now on, one entry each, counted
+    at the handler's ``setup``."""
+    opened = []
+
+    class Counting(server.RequestHandlerClass):
+        def setup(self):
+            opened.append(self.client_address)
+            super().setup()
+
+    server.RequestHandlerClass = Counting
+    return opened
+
+
+def test_one_connection_carries_every_ask(hosted, connect):
+    vocab, local, server, url = hosted
+    opened = count_connections(server)
+    remote = connect(url)
+    for i in range(20):
+        context = [vocab.id("x")] * (i % 3) + [vocab.id(".")]
+        assert remote.next_distribution(context) == local.next_distribution(context)
+    assert len(opened) == 1
+
+
+def test_each_session_opens_its_own_connection(hosted, connect):
+    vocab, local, server, url = hosted
+    opened = count_connections(server)
+    remote = connect(url)
+    session = remote.session()
+    assert not opened  # no connection before the first ask
+    for backend in (remote, session, remote):
+        assert backend.next_distribution([vocab.id(".")]) == local.next_distribution([vocab.id(".")])
+    session.close()
+    assert len(opened) == 2
+
+
+def test_shutdown_is_prompt_while_a_client_connection_is_open(connect):
+    local = SeededBackend(8, seed=1)
+    server, url = serve_backend(local)
+    remote = connect(url)
+    remote.next_distribution([1])
+    assert remote._connection.sock is not None  # kept alive
+    started = time.monotonic()
+    stopper = threading.Thread(target=lambda: (server.shutdown(), server.server_close()))
+    stopper.start()
+    stopper.join(5)
+    assert not stopper.is_alive() and time.monotonic() - started < 1.0
+    remote.close()
+
+
+def test_an_idle_connection_is_closed_and_the_ask_retried_once(hosted, connect):
+    vocab, local, server, url = hosted
+    opened = count_connections(server)
+    server.RequestHandlerClass.timeout = 0.2
+    remote = connect(url)
+    context = [vocab.id(".")]
+    assert remote.next_distribution(context) == local.next_distribution(context)
+    time.sleep(0.5)  # the server closes the idle connection
+    assert remote.next_distribution(context) == local.next_distribution(context)
+    assert len(opened) == 2
+
+
+def test_a_new_connection_that_fails_is_not_retried(hosted, connect):
+    _, _, server, url = hosted
+    opened = count_connections(server)
+
+    class Hangup(server.RequestHandlerClass):
+        def do_POST(self):
+            self.close_connection = True  # no reply at all
+
+    server.RequestHandlerClass = Hangup
+    with pytest.raises(BackendUnavailable, match="cannot reach"):
+        connect(url).next_distribution([1])
+    assert len(opened) == 1
+
+
+def raw_exchange(endpoint: str, head: bytes) -> tuple[int, dict]:
+    """Send one request with no body and read the reply up to the server's
+    close; a server that kept the connection open would time this out."""
+    host, port = endpoint.split("/")[2].split(":")
+    with socket.create_connection((host, int(port)), timeout=5) as sock:
+        sock.sendall(b"POST / HTTP/1.1\r\nHost: x\r\n" + head + b"\r\n")
+        data = b""
+        while chunk := sock.recv(65536):
+            data += chunk
+    status, _, rest = data.partition(b"\r\n")
+    return int(status.split()[1]), json.loads(rest.partition(b"\r\n\r\n")[2])
+
+
+@pytest.mark.parametrize(
+    "head, code, error",
+    [
+        (b"", 400, "bad_request"),
+        (b"Content-Length: -1\r\n", 400, "bad_request"),
+        (b"Content-Length: abc\r\n", 400, "bad_request"),
+        (b"Content-Length: 1.5\r\n", 400, "bad_request"),
+        (f"Content-Length: {MAX_BODY_BYTES + 1}\r\n".encode(), 413, "body_too_large"),
+    ],
+    ids=["missing-length", "negative-length", "word-length", "fraction-length", "too-large"],
+)
+def test_a_bad_request_head_is_answered_and_its_connection_closed(hosted, head, code, error, connect):
+    """Answered without reading a body; the server then closes the connection,
+    and a client's kept-alive connection still answers."""
+    vocab, local, server, url = hosted
+    opened = count_connections(server)
+    remote = connect(url)
+    context = [vocab.id(".")]
+    assert remote.next_distribution(context) == local.next_distribution(context)
+    reply_code, reply = raw_exchange(url, head)
+    assert reply_code == code and reply["error"] == error
+    assert remote.next_distribution(context) == local.next_distribution(context)
+    assert len(opened) == 2
+
+
+class _Faulty(MockBackend):
+    """A table model whose forward pass fails on any context holding token 13."""
+
+    def raw_distribution(self, context):
+        if 13 in context:
+            raise RuntimeError("model process died")
+        return super().raw_distribution(context)
+
+
+@pytest.mark.parametrize(
+    "bad_ask, error",
+    [
+        (lambda remote: remote._request({"query": None}), BackendUnavailable),
+        (lambda remote: remote.next_distribution([1] * 17), ContextTooLong),
+        (lambda remote: remote.next_distribution([13]), BackendUnavailable),
+    ],
+    ids=["400", "413", "500"],
+)
+def test_an_error_reply_ends_the_connection_and_the_client_recovers(bad_ask, error, caplog, connect):
+    local = _Faulty(default={1: 0.6, 2: 0.4}, max_context=16)
+    server, url = serve_backend(local)
+    opened = count_connections(server)
+    try:
+        remote = connect(url)
+        assert remote.next_distribution([1]) == local.next_distribution([1])
+        with caplog.at_level(logging.CRITICAL, logger="trierank.remote"), pytest.raises(error):
+            bad_ask(remote)
+        assert remote.next_distribution([2, 1]) == local.next_distribution([2, 1])
+        assert len(opened) == 2
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+@pytest.mark.parametrize("body", [b"not json", b"[1]", b'{"probs": [], "argmax": 1}'])
+def test_a_malformed_answer_is_backend_error(hosted, body, connect):
+    _, _, server, url = hosted
+
+    class Garbled(server.RequestHandlerClass):
+        def _reply(self, code, _):
+            self.send_response(code)
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+
+    server.RequestHandlerClass = Garbled
+    with pytest.raises(BackendUnavailable, match="malformed response"):
+        connect(url).next_distribution([1])
+
+
+class _ThreeArgument(ModelBackend):
+    """A hosted backend whose ``next_distribution`` takes no ``top_k``."""
+
+    def __init__(self, inner: ModelBackend):
+        self.inner = inner
+
+    def next_distribution(self, context, allowed=None, query=None):
+        return self.inner.next_distribution(context, allowed, query)
+
+
+def test_a_three_argument_backend_serves_top_k_asks(connect):
+    local = SeededBackend(30, seed=2)
+    server, url = serve_backend(_ThreeArgument(local))
+    try:
+        remote = connect(url)
+        for top_k in (0, 2):
+            expected = next_distribution(local, [4, 5], query=[7], top_k=top_k)
+            assert next_distribution(remote, [4, 5], query=[7], top_k=top_k) == expected
     finally:
         server.shutdown()
         server.server_close()
