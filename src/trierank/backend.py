@@ -164,10 +164,6 @@ class ModelBackend:
             probs.setdefault(q, 0.0)
         return Distribution(probs, argmax)
 
-    def session(self) -> "ModelBackend":
-        """Per-completion-point handle; immutable backends may share self."""
-        return self
-
     def close(self) -> None:
         """Release what the backend holds open, such as a connection; the
         next ask may open it again. A local backend holds nothing."""
@@ -338,7 +334,7 @@ class SeededBackend(ModelBackend):
 
 
 class CountingBackend(ModelBackend):
-    """Session wrapper counting forward passes and stamping the first response.
+    """Wrapper counting forward passes and stamping the first response.
 
     ``first_response`` is the ``time.monotonic()`` instant the first call
     returned, the start of the harness's ranking time.
@@ -355,9 +351,6 @@ class CountingBackend(ModelBackend):
         if self.first_response is None:
             self.first_response = time.monotonic()
         return result
-
-    def session(self) -> "CountingBackend":
-        return CountingBackend(self.inner.session())
 
     def close(self) -> None:
         self.inner.close()

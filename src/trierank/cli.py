@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import closing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -188,7 +189,8 @@ def cmd_rank(args) -> int:
                 file=sys.stderr,
             )
 
-    result = adapter(point, backend.session(), StrategyContext(vocab, config.eval))
+    with closing(backend):
+        result = adapter(point, backend, StrategyContext(vocab, config.eval))
     record = ranking_record(strategy, point.candidates, result.ranking, result.decode)
     print(json.dumps(record, indent=2, sort_keys=True))
     return EXIT_OK
@@ -197,9 +199,9 @@ def cmd_rank(args) -> int:
 def cmd_eval(args) -> int:
     config = resolve_config(args)
     vocab = load_vocab(config)
-    backend = build_backend(config, vocab)
-    dataset = load_points(args.dataset)
-    report = evaluate(config.strategies, dataset, backend, vocab, config.eval)
+    with closing(build_backend(config, vocab)) as backend:
+        dataset = load_points(args.dataset)
+        report = evaluate(config.strategies, dataset, backend, vocab, config.eval)
 
     out = Path(config.out or "report.json")
     out.write_text(report.to_json(config.include_timing) + "\n", encoding="utf-8")
@@ -217,9 +219,9 @@ def cmd_eval(args) -> int:
 def cmd_stats(args) -> int:
     config = resolve_config(args)
     vocab = load_vocab(config)
-    backend = build_backend(config, vocab)
-    dataset = load_points(args.dataset)
-    report = evaluate(["treeranker"], dataset, backend, vocab, config.eval)
+    with closing(build_backend(config, vocab)) as backend:
+        dataset = load_points(args.dataset)
+        report = evaluate(["treeranker"], dataset, backend, vocab, config.eval)
     stats = tree_statistics(report.details["treeranker"])
     width = max(len(k) for k in stats)
     for key, value in stats.items():

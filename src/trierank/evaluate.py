@@ -55,6 +55,8 @@ class EvalConfig:
             raise ValueError("runs must be >= 1")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
+        if self.first_token_ms < 0:
+            raise ValueError("first_token_ms must be >= 0")
 
 
 @dataclass
@@ -226,14 +228,11 @@ def _evaluate_point(adapter, point, gt_len: int, backend, ctx: StrategyContext) 
     gt = point.ground_truth
 
     def one_run() -> tuple[StrategyResult, int, float]:
-        session = CountingBackend(backend.session())
-        try:
-            result = adapter(point, session, ctx)
-            end = time.monotonic()
-        finally:
-            session.close()
-        elapsed = (end - session.first_response) if session.first_response else 0.0
-        return result, session.calls, elapsed
+        counting = CountingBackend(backend)
+        result = adapter(point, counting, ctx)
+        end = time.monotonic()
+        elapsed = (end - counting.first_response) if counting.first_response else 0.0
+        return result, counting.calls, elapsed
 
     result, calls, elapsed = one_run()
     times = [elapsed]
@@ -279,7 +278,8 @@ def evaluate(
     vocab: Vocabulary,
     config: EvalConfig | None = None,
 ) -> EvalReport:
-    """Evaluate one or more strategies over ``dataset``; see module docstring."""
+    """Evaluate one or more strategies over ``dataset``; see module docstring.
+    ``config.jobs`` threads share ``backend``, which the caller closes."""
     if isinstance(strategies, str):
         strategies = [strategies]
     points = list(dataset)

@@ -21,8 +21,8 @@ probable ids, ties to the smallest id, and ``argmax`` is ``null`` at
 :func:`~trierank.backend.top_k_answer`. A ``top_k`` that is not a
 non-negative integer, or one sent with ``allowed``, is a bad request.
 
-Connections are HTTP/1.1 and persistent. A :class:`RemoteBackend` opens one
-connection on its first ask and keeps it for every later one. The server sets
+Connections are HTTP/1.1 and persistent. A :class:`RemoteBackend` asks on an
+idle connection or a new one, so its threads share no socket. The server sets
 ``TCP_NODELAY``, because it writes a reply's headers and body separately and
 Nagle's algorithm against delayed ACKs would hold each body for about 40 ms.
 The server closes a connection left idle for :data:`IDLE_TIMEOUT_S`; a client
@@ -54,9 +54,11 @@ model's tokenizer).
 
 from __future__ import annotations
 
+import contextlib
 import http.client
 import json
 import logging
+import socket
 import threading
 import urllib.parse
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -74,20 +76,17 @@ IDLE_TIMEOUT_S = 30.0
 
 
 class RemoteBackend(ModelBackend):
-    """Client side of the protocol; one instance per in-flight completion.
+    """Client side of the protocol; safe to share between threads.
 
-    An instance keeps one connection, opened on its first ask, so it must not
-    be shared between threads: :meth:`session` gives each its own.
+    Each ask takes an idle kept-alive connection, or opens one, and gives it
+    back after a successful exchange: ``N`` threads use at most ``N``.
     """
-
-    _connection: http.client.HTTPConnection | None = None
 
     def __init__(self, endpoint: str, timeout: float = 10.0):
         self.endpoint = endpoint
         self.timeout = timeout
-
-    def session(self) -> "RemoteBackend":
-        return RemoteBackend(self.endpoint, self.timeout)
+        # Idle connections; ``list.pop`` and ``list.append`` are atomic.
+        self._idle: list[http.client.HTTPConnection] = []
 
     def next_distribution(self, context, allowed=None, query=None, top_k=None) -> Distribution:
         payload = {
@@ -100,16 +99,15 @@ class RemoteBackend(ModelBackend):
         return self._request(payload)
 
     def close(self) -> None:
-        """Close the kept-alive connection; the next ask opens a new one."""
-        if self._connection is not None:
-            self._connection.close()
-            self._connection = None
+        """Close every idle connection once no ask is in flight; the next ask
+        opens a new one."""
+        while self._idle:
+            self._idle.pop().close()
 
     def _request(self, payload: dict) -> Distribution:
         try:
             response, data = self._post(json.dumps(payload).encode("utf-8"))
         except (http.client.HTTPException, OSError) as exc:  # TimeoutError is an OSError
-            self.close()
             raise BackendUnavailable(f"cannot reach {self.endpoint}: {exc}") from None
         if response.status == 413:
             raise ContextTooLong(f"server rejected context: {response.reason}")
@@ -124,36 +122,43 @@ class RemoteBackend(ModelBackend):
             raise BackendUnavailable(f"malformed response from {self.endpoint}: {exc}") from None
 
     def _post(self, body: bytes) -> tuple[http.client.HTTPResponse, bytes]:
-        """One exchange on the kept-alive connection. The server may have closed
-        a connection that already carried an exchange while it sat idle; such a
-        connection is retried once, on a new one. A new connection's failure is
-        final."""
+        """One exchange on an idle connection or a new one. The server may have
+        closed a connection that already carried an exchange while it sat idle;
+        such a connection is retried once, on a new one. A new connection's
+        failure is final."""
         url = urllib.parse.urlsplit(self.endpoint)
-        if self._connection is None:
+        try:
+            connection = self._idle.pop()
+        except IndexError:
             if url.scheme not in ("http", "https"):
                 raise http.client.InvalidURL(f"unsupported endpoint scheme {url.scheme!r}")
             secure = url.scheme == "https"
             factory = http.client.HTTPSConnection if secure else http.client.HTTPConnection
-            self._connection = factory(url.netloc, timeout=self.timeout)
-        connection = self._connection
+            connection = factory(url.netloc, timeout=self.timeout)
         target = urllib.parse.urlunsplit(("", "", url.path or "/", url.query, ""))
         reused = connection.sock is not None
         try:
-            return _exchange(connection, target, body)
+            exchanged = _exchange(connection, target, body)
         # ``RemoteDisconnected``, a read that finds the server gone, is a ``ConnectionResetError``.
         except (ConnectionResetError, BrokenPipeError):
             if not reused:
                 raise
-        connection.close()  # the next request connects afresh
-        return _exchange(connection, target, body)
+            exchanged = _exchange(connection, target, body)  # on a new connection
+        self._idle.append(connection)
+        return exchanged
 
 
 def _exchange(
     connection: http.client.HTTPConnection, target: str, body: bytes
 ) -> tuple[http.client.HTTPResponse, bytes]:
-    connection.request("POST", target, body, {"Content-Type": "application/json"})
-    response = connection.getresponse()
-    return response, response.read()
+    """One request and its reply; a connection that fails is closed and not reused."""
+    try:
+        connection.request("POST", target, body, {"Content-Type": "application/json"})
+        response = connection.getresponse()
+        return response, response.read()
+    except BaseException:
+        connection.close()
+        raise
 
 
 def _parse_ask(payload, vocab: Vocabulary | None):
@@ -165,12 +170,15 @@ def _parse_ask(payload, vocab: Vocabulary | None):
         if text is None or vocab is None:
             raise ValueError("no usable context in request")
         context = list(greedy_tokenize(text, vocab).ids)
-    context = [int(t) for t in context]
     if not context:
         raise EmptyInput("context must be non-empty")
     allowed, query, top_k = payload.get("allowed"), payload.get("query"), payload.get("top_k")
-    mask = None if allowed is None else LogitMask(frozenset(int(t) for t in allowed))
-    query = [int(t) for t in query] if query else None
+    for ids in (context, allowed or [], query or []):
+        # ``int()`` would turn 1.9, true and "1" into ids that were never sent.
+        if type(ids) is not list or any(type(t) is not int for t in ids):
+            raise ValueError("token ids must be lists of integers")
+    mask = None if allowed is None else LogitMask(frozenset(allowed))
+    query = query or None
     if top_k is not None and (type(top_k) is not int or top_k < 0 or mask is not None):
         raise ValueError("top_k must be a non-negative integer and cannot come with allowed")
     return context, mask, query, top_k
@@ -238,6 +246,34 @@ def _make_handler(backend: ModelBackend, vocab: Vocabulary | None):
     return Handler
 
 
+class _Server(ThreadingHTTPServer):
+    """Ends the connections it accepted in ``server_close()``: a daemon handler
+    thread would otherwise keep answering a kept-alive client after the stop."""
+
+    def __init__(self, address, handler):
+        super().__init__(address, handler)
+        self._accepted: set[socket.socket] = set()
+
+    def process_request(self, request, client_address):
+        self._accepted.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request):
+        self._accepted.discard(request)
+        super().shutdown_request(request)
+
+    def handle_error(self, request, client_address):
+        # A connection that server_close() ended fails in its handler: not a fault.
+        if self.socket.fileno() != -1:
+            super().handle_error(request, client_address)
+
+    def server_close(self):
+        super().server_close()
+        for request in self._accepted.copy():
+            with contextlib.suppress(OSError):  # its handler closed it meanwhile
+                request.shutdown(socket.SHUT_RDWR)
+
+
 def serve_backend(
     backend: ModelBackend,
     vocab: Vocabulary | None = None,
@@ -247,11 +283,12 @@ def serve_backend(
     """Expose ``backend`` over the protocol; returns (server, endpoint URL).
 
     The server runs on a daemon thread; call ``server.shutdown()`` and then
-    ``server.server_close()`` when done. Each connection has its own daemon
-    handler thread, which ``server_close()`` does not wait for, so a client
-    may still hold a kept-alive connection when the server stops.
+    ``server.server_close()`` when done. ``server_close()`` ends every
+    connection a client still holds open, so the client's next ask raises
+    :class:`BackendUnavailable`, without waiting for the daemon handler
+    threads.
     """
-    server = ThreadingHTTPServer((host, port), _make_handler(backend, vocab))
+    server = _Server((host, port), _make_handler(backend, vocab))
     # ``shutdown()`` waits up to one poll interval; the library default is 0.5 s.
     thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
     thread.start()

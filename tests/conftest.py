@@ -41,8 +41,8 @@ def worked_candidates():
 
 @pytest.fixture
 def connect():
-    """``connect(url)`` is a :class:`RemoteBackend` whose kept-alive connection
-    is closed when the test ends."""
+    """``connect(url)`` is a :class:`RemoteBackend` whose idle connections are
+    closed when the test ends."""
     clients = []
 
     def connect(endpoint: str) -> RemoteBackend:

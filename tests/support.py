@@ -117,3 +117,17 @@ def descent_candidate(vocab: Vocabulary, candidates: list[str], descent: list[in
     if node.terminal_for is not None and node.is_leaf:
         return node.terminal_for
     return next(iter(node.members))
+
+
+def count_connections(server) -> list:
+    """The connections ``server`` accepts from now on, one entry each, counted
+    at the handler's ``setup``."""
+    opened = []
+
+    class Counting(server.RequestHandlerClass):
+        def setup(self):
+            opened.append(self.client_address)
+            super().setup()
+
+    server.RequestHandlerClass = Counting
+    return opened

@@ -1,12 +1,14 @@
 import json
 import string
 import sys
+from pathlib import Path
 
 import pytest
 
 import trierank.vocab
-from trierank import Vocabulary
+from trierank import Vocabulary, mock_backend_from_spec
 from trierank.cli import EXIT_BACKEND, EXIT_CONFIG, EXIT_OK, main
+from trierank.remote import serve_backend
 
 FIX = "fixtures"
 BASE = ["--backend", f"mock:{FIX}/mockspec.json", "--vocab", f"{FIX}/vocab.tsv"]
@@ -117,6 +119,29 @@ class TestEval:
         report = json.loads(out_path.read_text())
         assert any("line 2" in w for w in report["warnings"])
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_remote_report_equals_the_local_one(self, capsys, tmp_path, jobs):
+        """The command also closes its connections: one left open fails under
+        the suite's ``ResourceWarning`` filter."""
+        vocab = Vocabulary.load(f"{FIX}/vocab.tsv")
+        server, url = serve_backend(mock_backend_from_spec(f"{FIX}/mockspec.json", vocab))
+        strategies = ["--strategy", "treeranker", "--strategy", "beamall", "--strategy", "beam5"]
+        try:
+            reports = []
+            for backend in (f"mock:{FIX}/mockspec.json", f"remote:{url}"):
+                out_path = tmp_path / f"{backend[:4]}.json"
+                code, _, _ = run(
+                    capsys, "eval", "--backend", backend, "--vocab", f"{FIX}/vocab.tsv",
+                    *strategies, "--jobs", jobs, "--no-timing", "--out", str(out_path),
+                    f"{FIX}/smoke.jsonl",
+                )
+                assert code == EXIT_OK
+                reports.append(out_path.read_bytes())
+            assert reports[0] == reports[1]
+        finally:
+            server.shutdown()
+            server.server_close()
+
     def test_runs_populate_ci(self, capsys, tmp_path):
         out_path = tmp_path / "report.json"
         code, _, _ = run(
@@ -145,7 +170,7 @@ class TestEval:
     def test_partial_abort_flags_strategy_and_exits_3(self, capsys, tmp_path):
         # A 3-token window lets treeranker finish (early stops at depth 2)
         # while greedy over-generates past it and aborts.
-        spec = json.loads(open(f"{FIX}/mockspec.json").read())
+        spec = json.loads(Path(f"{FIX}/mockspec.json").read_text(encoding="utf-8"))
         spec["max_context"] = 3
         spec_path = tmp_path / "tight.json"
         spec_path.write_text(json.dumps(spec), encoding="utf-8")

@@ -14,7 +14,9 @@ from trierank import (
 from trierank.errors import ContextTooLong, EmptyCandidateList, EmptyInput
 from trierank.evaluate import EvalConfig, UnknownStrategy, evaluate, tree_statistics
 from trierank.ranking import DecodeConfig
-from trierank.remote import RemoteBackend, serve_backend
+from trierank.remote import serve_backend
+
+from support import count_connections
 
 FIXTURES = "fixtures"
 
@@ -160,39 +162,34 @@ class TestHarnessBehavior:
         parallel = evaluate("treeranker", dataset, backend, vocab, EvalConfig(jobs=4))
         assert serial.to_json(include_timing=False) == parallel.to_json(include_timing=False)
 
-    def test_every_session_is_closed(self, fixture_env):
-        """Each run of a strategy on a point closes its session when done."""
-        vocab, backend, dataset = fixture_env
-        sessions = []
-
-        class Tracked(ModelBackend):
-            def __init__(self, inner):
-                self.inner, self.closed = inner, False
-
-            def next_distribution(self, context, allowed=None, query=None, top_k=None):
-                return self.inner.next_distribution(context, allowed, query, top_k)
-
-            def session(self):
-                sessions.append(Tracked(self.inner))
-                return sessions[-1]
-
-            def close(self):
-                self.closed = True
-
-        evaluate(["treeranker", "beamall"], dataset, Tracked(backend), vocab, EvalConfig(runs=2))
-        assert len(sessions) == 2 * 2 * len(dataset.points)
-        assert all(s.closed for s in sessions)
-
-    def test_jobs_parallel_over_the_wire_matches_local(self, fixture_env):
-        """Each point's session has its own kept-alive connection, so threads
-        never share a socket."""
+    def test_jobs_parallel_over_the_wire_matches_local(self, fixture_env, connect):
+        """Threads share one remote backend and never a socket."""
         vocab, backend, dataset = fixture_env
         strategies = ["treeranker", "beamall", "greedy", "beam5"]
         server, url = serve_backend(backend)
         try:
             local = evaluate(strategies, dataset, backend, vocab)
-            remote = evaluate(strategies, dataset, RemoteBackend(url), vocab, EvalConfig(jobs=2))
+            remote = evaluate(strategies, dataset, connect(url), vocab, EvalConfig(jobs=2))
             assert local.to_json(include_timing=False) == remote.to_json(include_timing=False)
+        finally:
+            server.shutdown()
+            server.server_close()
+
+    @pytest.mark.parametrize(
+        "jobs, runs, most", [(1, 1, 1), (1, 3, 1), (2, 1, 2)], ids=["serial", "runs-3", "jobs-2"]
+    )
+    def test_an_eval_opens_at_most_one_connection_per_job(
+        self, fixture_env, connect, jobs, runs, most
+    ):
+        vocab, backend, dataset = fixture_env
+        strategies = ["treeranker", "beamall", "greedy", "beam5", "beam5f"]
+        server, url = serve_backend(backend)
+        opened = count_connections(server)
+        try:
+            config = EvalConfig(runs=runs, jobs=jobs)
+            report = evaluate(strategies, dataset, connect(url), vocab, config)
+            assert list(report.strategies) == strategies
+            assert 1 <= len(opened) <= most
         finally:
             server.shutdown()
             server.server_close()
@@ -229,7 +226,9 @@ class TestHarnessBehavior:
         evaluate(["treeranker", "greedy"], dataset, backend, vocab)
         assert looked_up == ["treeranker", "greedy"]
 
-    @pytest.mark.parametrize("bad", [{"alpha": -1.0}, {"runs": 0}, {"jobs": 0}])
+    @pytest.mark.parametrize(
+        "bad", [{"alpha": -1.0}, {"runs": 0}, {"jobs": 0}, {"first_token_ms": -5.0}]
+    )
     def test_config_rejects_invalid(self, bad):
         with pytest.raises(ValueError):
             EvalConfig(**bad)

@@ -1,6 +1,8 @@
 import json
 import logging
+import os
 import socket
+import sys
 import threading
 import time
 import urllib.error
@@ -23,6 +25,8 @@ from trierank import (
 from trierank.errors import BackendUnavailable, ContextTooLong
 from trierank.ranking import DecodeConfig, build_allowed_set
 from trierank.remote import MAX_BODY_BYTES, RemoteBackend, serve_backend
+
+from support import count_connections
 
 
 @pytest.fixture
@@ -72,7 +76,8 @@ def post(endpoint: str, payload: dict) -> dict:
     request = urllib.request.Request(
         endpoint, data=json.dumps(payload).encode(), headers={"Content-Type": "application/json"}
     )
-    return json.loads(urllib.request.urlopen(request).read())
+    with urllib.request.urlopen(request) as response:
+        return json.loads(response.read())
 
 
 def test_wire_format_fields(served):
@@ -135,6 +140,14 @@ def test_unparsable_or_invalid_body_answers_400(served):
         b'{"context_tokens": [1], "top_k": "2"}',
         b'{"context_tokens": [1], "top_k": true}',
         b'{"context_tokens": [1], "top_k": 1, "allowed": [1]}',
+        b'{"context_tokens": [1.9]}',
+        b'{"context_tokens": [true]}',
+        b'{"context_tokens": ["1"]}',
+        b'{"context_tokens": "12"}',
+        b'{"context_tokens": [1], "allowed": [2.5, 3]}',
+        b'{"context_tokens": [1], "allowed": [false, 3]}',
+        b'{"context_tokens": [1], "query": [2.0]}',
+        b'{"context_tokens": [1], "query": ["2"]}',
     ]:
         code, reply = post_raw(remote.endpoint, body)
         assert code == 400 and reply["error"] == "bad_request", body
@@ -198,12 +211,6 @@ def test_empty_context_answers_400(served, context):
     assert json.loads(err.value.read())["detail"] == "context must be non-empty"
 
 
-def test_session_is_fresh_instance(served):
-    _, _, remote = served
-    session = remote.session()
-    assert session is not remote and session.endpoint == remote.endpoint
-
-
 def test_remote_drives_full_ranking(served):
     from trierank import rank, greedy_tokenize
 
@@ -254,20 +261,6 @@ def test_remote_matches_local_at_a_terminal_node(seed, connect):
 
 
 
-def count_connections(server) -> list:
-    """The connections ``server`` accepts from now on, one entry each, counted
-    at the handler's ``setup``."""
-    opened = []
-
-    class Counting(server.RequestHandlerClass):
-        def setup(self):
-            opened.append(self.client_address)
-            super().setup()
-
-    server.RequestHandlerClass = Counting
-    return opened
-
-
 def test_one_connection_carries_every_ask(hosted, connect):
     vocab, local, server, url = hosted
     opened = count_connections(server)
@@ -278,30 +271,88 @@ def test_one_connection_carries_every_ask(hosted, connect):
     assert len(opened) == 1
 
 
-def test_each_session_opens_its_own_connection(hosted, connect):
+def test_threads_sharing_one_backend_get_the_local_answers(hosted, connect):
+    """More threads than cores, switching often: every answer is the local
+    one, no thread holds two connections, and every connection ends idle."""
     vocab, local, server, url = hosted
     opened = count_connections(server)
     remote = connect(url)
-    session = remote.session()
-    assert not opened  # no connection before the first ask
-    for backend in (remote, session, remote):
-        assert backend.next_distribution([vocab.id(".")]) == local.next_distribution([vocab.id(".")])
-    session.close()
-    assert len(opened) == 2
+    contexts = [[vocab.id("x")] * (i % 4) + [vocab.id(".")] for i in range(40)]
+    threads = max(2, (os.cpu_count() or 1) + 1)
+    answers: dict[int, list] = {}
+    start = threading.Barrier(threads)
+
+    def ask(worker: int) -> None:
+        start.wait()
+        answers[worker] = [remote.next_distribution(c) for c in contexts]
+
+    workers = [threading.Thread(target=ask, args=(w,)) for w in range(threads)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    expected = [local.next_distribution(c) for c in contexts]
+    assert answers == {w: expected for w in range(threads)}
+    assert 1 <= len(opened) <= threads and len(remote._idle) == len(opened)
+
+
+def test_close_leaves_no_idle_connection_open(hosted, connect):
+    vocab, local, server, url = hosted
+    opened = count_connections(server)
+    remote = connect(url)
+    context = [vocab.id(".")]
+    barrier = threading.Barrier(3)
+
+    def ask() -> None:
+        barrier.wait()
+        remote.next_distribution(context)
+
+    workers = [threading.Thread(target=ask) for _ in range(3)]
+    for w in workers:
+        w.start()
+    for w in workers:
+        w.join(10)
+    assert not any(w.is_alive() for w in workers)
+    idle = list(remote._idle)
+    assert len(idle) == len(opened) >= 1
+    remote.close()
+    assert not remote._idle and all(c.sock is None for c in idle)
+    assert remote.next_distribution(context) == local.next_distribution(context)
+    assert len(opened) == len(idle) + 1  # the next ask opens a new one
 
 
 def test_shutdown_is_prompt_while_a_client_connection_is_open(connect):
     local = SeededBackend(8, seed=1)
     server, url = serve_backend(local)
+    opened = count_connections(server)
     remote = connect(url)
     remote.next_distribution([1])
-    assert remote._connection.sock is not None  # kept alive
+    remote.next_distribution([2])
+    assert len(opened) == 1  # kept alive
     started = time.monotonic()
     stopper = threading.Thread(target=lambda: (server.shutdown(), server.server_close()))
     stopper.start()
     stopper.join(5)
     assert not stopper.is_alive() and time.monotonic() - started < 1.0
-    remote.close()
+
+
+def test_a_stopped_server_answers_no_kept_alive_client(connect):
+    local = SeededBackend(8, seed=1)
+    server, url = serve_backend(local)
+    remote = connect(url)
+    assert remote.next_distribution([1]) == local.next_distribution([1])
+    server.shutdown()
+    server.server_close()
+    with pytest.raises(BackendUnavailable):
+        remote.next_distribution([1])
+    with pytest.raises(BackendUnavailable):
+        connect(url).next_distribution([1])
 
 
 def test_an_idle_connection_is_closed_and_the_ask_retried_once(hosted, connect):
