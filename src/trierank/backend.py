@@ -14,13 +14,24 @@ a masked step costs O(explicit ids) in Python plus, with the class, a few
 passes over the class's values in C. ``math.fsum`` totals make a class mask
 and its expansion give the same floats.
 
+A backend's table (:meth:`ModelBackend.raw_distribution`) is a
+``Mapping[int, float]`` from id to probability or, for a full-support
+backend, a dense ``tuple[float, ...]`` indexed by id. Either way an id the
+table lacks reads 0.0: for a tuple, every id outside ``[0, len(table))``, so
+a negative id never wraps around. Answers read explicit, class and queried
+ids from either shape through :func:`_read`. A tuple, not a list: a tuple of
+floats drops out of the cyclic garbage collector's tracking, while every full
+collection would walk each element of a cached list, and it cannot be changed
+by a caller.
+
 Two deterministic mock implementations back the test suite:
 
 * :class:`MockBackend` — a table model keyed on the longest matching
   token-suffix n-gram of the context (up to 4 tokens), with a default table.
 * :class:`SeededBackend` — derives a full-support distribution for any
   context by hashing (seed, context); same seed + same context is
-  bitwise-identical across processes.
+  bitwise-identical across processes. Its tables are dense tuples, about
+  1 MB per context at 32k tokens where a dict would take about 3 MB.
 """
 
 from __future__ import annotations
@@ -33,15 +44,19 @@ import random
 import struct
 import time
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from itertools import repeat
+from operator import getitem, itemgetter
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import ContextTooLong, EmptyInput, MalformedSpec
 from .vocab import TokenSeq, Vocabulary
 
 MAX_SUFFIX_KEY = 4
+
+Table = Union[Mapping[int, float], tuple[float, ...]]
+"""Probabilities by token id: a mapping, or a dense tuple indexed by id."""
 
 
 @dataclass(frozen=True)
@@ -79,8 +94,24 @@ class LogitMask:
         return self.ids | self.termination
 
 
-def _argmax(probs: Mapping[int, float]) -> int:
+def _read(table: Table, ids: Sequence[int]) -> Sequence[float]:
+    """The values of the ascending ``ids``, 0.0 for an id ``table`` lacks. A
+    dense tuple lacks every id outside ``[0, len(table))``, so a negative id
+    never wraps around. Two or more ids inside it are read in C by
+    ``itemgetter``, which is faster than mapping the tuple's ``__getitem__``,
+    a slot wrapper."""
+    if not isinstance(table, tuple):
+        return list(map(table.get, ids, repeat(0.0)))
+    n = len(table)
+    if len(ids) > 1 and ids[0] >= 0 and ids[-1] < n:
+        return itemgetter(*ids)(table)
+    return [table[t] if 0 <= t < n else 0.0 for t in ids]
+
+
+def _argmax(probs: Table) -> int:
     """The id of the largest value; ties go to the smallest id, in any table order."""
+    if isinstance(probs, tuple):
+        return probs.index(max(probs))
     best = max(probs.values())
     return min(t for t, p in probs.items() if p == best)
 
@@ -93,27 +124,27 @@ def _ascending(cls: frozenset[int]) -> tuple[int, ...]:
 
 
 def _restrict(
-    table: Mapping[int, float], mask: LogitMask, query: Sequence[int] = ()
+    table: Table, mask: LogitMask, query: Sequence[int] = ()
 ) -> tuple[dict[int, float], int]:
     """Probabilities renormalized over ``mask`` (uniform if no mass survives) for
     the explicit ids, the ``query`` ids inside the mask and the argmax; the
     argmax is taken on the raw values, ties to the smallest id. The total is the
     ``math.fsum`` of every admissible value, each id once, so a class and its
     expansion give the same floats. The class costs a few passes over its values
-    in C (``map``, ``max``, ``index``, ``fsum``) and no Python-level loop."""
+    in C (:func:`_read`, ``max``, ``index``, ``fsum``) and no Python-level loop."""
     cls = mask.termination
-    explicit = mask.ids.union(q for q in query if q in mask)
-    masked = {t: table.get(t, 0.0) for t in sorted(explicit)}
+    explicit = sorted(mask.ids.union(q for q in query if q in mask))
+    masked = dict(zip(explicit, _read(table, explicit)))
     values = [p for t, p in masked.items() if t not in cls]
     candidates = masked
     if cls:
         order = _ascending(cls)
-        class_values = list(map(table.get, order, repeat(0.0)))
+        class_values = _read(table, order)
         i = class_values.index(max(class_values))  # ascending: the smallest id at the maximum
         candidates = {**masked, order[i]: class_values[i]}
         values += class_values
     argmax = _argmax(candidates)
-    masked[argmax] = table.get(argmax, 0.0)
+    masked[argmax] = candidates[argmax]
     total = math.fsum(values)
     if total <= 0.0:
         share = 1.0 / len(values)
@@ -122,23 +153,34 @@ def _restrict(
 
 
 def top_k_answer(
-    table: Mapping[int, float], query: Sequence[int], top_k: int
+    table: Table, query: Iterable[int], top_k: int
 ) -> tuple[dict[int, float], int | None]:
-    """The unmasked ask-only answer: the ``query`` ids (0.0 outside ``table``)
-    plus the ``top_k`` most probable ids, ties to the smallest id, and the
-    argmax, ``None`` at ``top_k=0``. The local path and the remote server's trim
-    both answer with this, so their floats and ties are the same code."""
+    """The unmasked ask-only answer: the ``query`` ids (0.0 outside ``table``),
+    ascending, plus the ``top_k`` most probable ids, ties to the smallest id,
+    and the argmax, ``None`` at ``top_k=0``. The local path and the remote
+    server's trim both answer with this, so their floats and ties are the same
+    code."""
     # ``nlargest`` is stable: over ascending ids, ties go to the smallest.
-    top = heapq.nlargest(top_k, sorted(table), key=table.__getitem__) if top_k else []
-    probs = {t: table.get(t, 0.0) for t in (*query, *top)}
+    if not top_k:
+        top = []
+    elif isinstance(table, tuple):
+        # Keyed on ``getitem``: a tuple's own ``__getitem__`` is a slower slot wrapper.
+        top = heapq.nlargest(top_k, range(len(table)), key=partial(getitem, table))
+    else:
+        top = heapq.nlargest(top_k, sorted(table), key=table.__getitem__)
+    query = sorted(query)
+    probs = dict(zip(query, _read(table, query)))
+    probs.update((t, table[t]) for t in top)
     return probs, (top[0] if top else None)
 
 
 class ModelBackend:
     """Abstract next-token-distribution provider."""
 
-    def raw_distribution(self, context: Sequence[int]) -> dict[int, float]:
-        """Unmasked probabilities over the backend's support for ``context``."""
+    def raw_distribution(self, context: Sequence[int]) -> Table:
+        """Unmasked probabilities over the backend's support for ``context``: a
+        ``Mapping[int, float]`` or, for a full-support backend, a dense
+        ``tuple[float, ...]`` indexed by token id."""
         raise NotImplementedError
 
     def next_distribution(
@@ -157,7 +199,8 @@ class ModelBackend:
         if allowed is not None:
             probs, argmax = _restrict(table, allowed, query)
         elif top_k is None:
-            probs, argmax = dict(table), _argmax(table)
+            probs = dict(enumerate(table)) if isinstance(table, tuple) else dict(table)
+            argmax = _argmax(table)
         else:
             probs, argmax = top_k_answer(table, query, top_k)
         for q in query:
@@ -317,7 +360,7 @@ class SeededBackend(ModelBackend):
         self._key = struct.pack("<q", seed)
         self._cache: dict[tuple[int, ...], dict[int, float]] = {}
 
-    def raw_distribution(self, context: Sequence[int]) -> dict[int, float]:
+    def raw_distribution(self, context: Sequence[int]) -> tuple[float, ...]:
         key = tuple(context)
         cached = self._cache.get(key)
         if cached is not None:
@@ -328,7 +371,7 @@ class SeededBackend(ModelBackend):
         rng = random.Random(int.from_bytes(digest, "little"))
         weights = [rng.random() ** 3 for _ in range(self.vocab_size)]
         total = sum(weights)
-        table = {t: w / total for t, w in enumerate(weights)}
+        table = tuple([w / total for w in weights])
         self._cache[key] = table
         return table
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -6,6 +8,7 @@ from trierank import (
     CountingBackend,
     LogitMask,
     MockBackend,
+    ModelBackend,
     SeededBackend,
     Vocabulary,
     mock_backend_from_spec,
@@ -128,6 +131,60 @@ def test_seeded_backend_bitwise_determinism():
     )
 
 
+@pytest.mark.parametrize(
+    "size, seed, context, argmax, golden",
+    [
+        (
+            16,
+            42,
+            [0],
+            13,
+            {
+                0: "0x1.a5aed8c900da9p-11",
+                7: "0x1.2aeb6d6b4add6p-19",
+                13: "0x1.1d8ad58e4e79cp-2",
+                15: "0x1.8a956acca8ccap-8",
+            },
+        ),
+        (16, 42, [3, 4, 5], 14, {8: "0x1.7fdd897d05b47p-25", 14: "0x1.a160a0a0db55bp-3"}),
+        (
+            32_000,
+            1,
+            [5, 6],
+            21942,
+            {
+                0: "0x1.f7abbdaa545c2p-15",
+                21942: "0x1.039b3e56d98b0p-13",
+                31999: "0x1.86bc2407b66f8p-23",
+            },
+        ),
+    ],
+)
+def test_seeded_backend_golden_floats(size, seed, context, argmax, golden):
+    """The seeded model's floats, pinned as written by the dict-table
+    implementation: a change of table layout keeps every value and ranking."""
+    backend = SeededBackend(size, seed)
+    table = backend.raw_distribution(context)
+    assert len(table) == size
+    assert {t: table[t].hex() for t in golden} == golden
+    assert next_distribution(backend, context).argmax == argmax
+
+
+def test_seeded_backend_caches_a_32k_context_in_1_3_mb():
+    """A cached context is one dense table, about 1 MB at 32k tokens; a dict
+    of 32k entries would take about 3 MB."""
+    backend = SeededBackend(32_000, seed=1)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        table = backend.raw_distribution([1, 2, 3])
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert backend.raw_distribution([1, 2, 3]) is table
+    assert held <= 1_300_000
+
+
 @given(
     seed=st.integers(0, 10_000),
     allowed=st.sets(st.integers(0, 15), min_size=1, max_size=16),
@@ -245,3 +302,49 @@ def test_top_k_answers_are_entries_of_the_full_answer(pairs, query):
 def test_top_k_rejects_a_negative_count_or_a_mask(table_backend, mask, top_k):
     with pytest.raises(ValueError):
         next_distribution(table_backend, [9], mask, top_k=top_k)
+
+
+class _Dense(ModelBackend):
+    """Serves one table as the dense tuple a full-support backend returns."""
+
+    def __init__(self, values):
+        self.values = tuple(values)
+
+    def raw_distribution(self, context):
+        return self.values
+
+
+def _same(a, b):
+    """Equal answers, down to the order of the reported ids."""
+    assert list(a.probs.items()) == list(b.probs.items())
+    assert a.argmax == b.argmax
+
+
+@given(
+    values=st.lists(PROBS, min_size=1, max_size=20),
+    ids=st.frozensets(st.integers(-2, 22), min_size=1),
+    cls=st.frozensets(st.integers(-2, 22), min_size=1),
+    query=st.frozensets(st.integers(-2, 22)),
+)
+@example(values=[0.5, 0.0, 0.5, 0.0], ids=frozenset({1, 2}), cls=frozenset({0, 3}), query=set())
+@example(values=[0.0, 0.0, 0.0], ids=frozenset({2}), cls=frozenset({0, 1}), query={0, 5})
+@example(values=[0.2, 0.4, 0.4], ids=frozenset({0}), cls=frozenset({1, 2}), query={-1, 3})
+@settings(max_examples=300)
+def test_dense_table_answers_equal_the_dict_table_answers(values, ids, cls, query):
+    """Every ask gets the same answer whether a full-support table is served as
+    a dense tuple or as the equal dict: masked with explicit ids only and with
+    a termination class, ``query`` ids inside and outside the mask, ``top_k``
+    from 0 to past the table's size, and the whole table. Ties, zero entries,
+    all-zero tables and ids outside ``[0, size)`` come up."""
+    dense, mapped = _Dense(values), MockBackend(default=dict(enumerate(values)))
+    size = len(values)
+    asks = [
+        {"mask": LogitMask(ids)},
+        {"mask": LogitMask(ids, cls)},
+        {},
+        *({"top_k": k} for k in (0, 1, size // 2, size, size + 3)),
+    ]
+    for ask in asks:
+        for q in (None, query):
+            expected = next_distribution(mapped, [0], query=q, **ask)
+            _same(next_distribution(dense, [0], query=q, **ask), expected)

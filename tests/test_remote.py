@@ -202,6 +202,34 @@ def test_remote_top_k_answer_equals_the_local_one(query, connect):
             server.server_close()
 
 
+@pytest.mark.parametrize("over", ["local", "remote"])
+def test_out_of_range_ids_read_zero_from_a_dense_table(over, connect):
+    """A ``query`` or ``allowed`` id of -1 or of the vocabulary's size reads 0.0
+    from a dense seeded table, as from the equal dict table, locally and over
+    the wire, where any integer id passes the server's checks: -1 never wraps
+    around to the last token."""
+    seeded = SeededBackend(8, seed=1)
+    by_dict = MockBackend(default=dict(enumerate(seeded.raw_distribution([1]))))
+    outside = [-1, 8]
+    asks = [
+        {"mask": LogitMask(frozenset({-1, 3, 8}))},
+        {"mask": LogitMask(frozenset({3}), frozenset({-1, 5, 8}))},
+        {},
+        {"top_k": 2},
+    ]
+    server, url = serve_backend(seeded)
+    try:
+        backend = seeded if over == "local" else connect(url)
+        for ask in asks:
+            dist = next_distribution(backend, [1], query=outside, **ask)
+            assert dist == next_distribution(by_dict, [1], query=outside, **ask)
+            assert dist.probs[-1] == dist.probs[8] == 0.0
+            assert dist.argmax not in outside
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
 @pytest.mark.parametrize("context", [{"context_tokens": []}, {"context_text": ""}])
 def test_empty_context_answers_400(served, context):
     _, _, remote = served
