@@ -163,6 +163,8 @@ def top_k_answer(
     # ``nlargest`` is stable: over ascending ids, ties go to the smallest.
     if not top_k:
         top = []
+    elif top_k == 1:
+        top = [_argmax(table)]  # in C on a dense tuple
     elif isinstance(table, tuple):
         # Keyed on ``getitem``: a tuple's own ``__getitem__`` is a slower slot wrapper.
         top = heapq.nlargest(top_k, range(len(table)), key=partial(getitem, table))
@@ -358,7 +360,7 @@ class SeededBackend(ModelBackend):
         self.vocab_size = vocab_size
         self.seed = seed
         self._key = struct.pack("<q", seed)
-        self._cache: dict[tuple[int, ...], dict[int, float]] = {}
+        self._cache: dict[tuple[int, ...], tuple[float, ...]] = {}
 
     def raw_distribution(self, context: Sequence[int]) -> tuple[float, ...]:
         key = tuple(context)

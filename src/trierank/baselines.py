@@ -2,10 +2,11 @@
 
 ``greedy_complete`` and ``beam_search`` generate freely and are matched
 against the candidate list afterwards (optionally via
-``filter_to_candidates``). ``beam_all`` walks the whole completion tree,
-scoring every candidate by its summed log-probability with a length penalty;
-it visits each internal node exactly once, which makes its forward-pass
-count the budget the tree ranker is measured against.
+``filter_to_candidates``); greedy decoding is beam search of width one.
+``beam_all`` walks the whole completion tree, scoring every candidate by its
+summed log-probability with a length penalty; it visits each internal node
+exactly once, which makes its forward-pass count the budget the tree ranker
+is measured against.
 """
 
 from __future__ import annotations
@@ -43,18 +44,11 @@ def _log(p: float) -> float:
 def greedy_complete(
     backend: ModelBackend, prefix: TokenSeq, vocab: Vocabulary, max_steps: int = 16
 ) -> str:
-    """Unconstrained argmax decode, truncated at the identifier boundary."""
+    """Unconstrained argmax decode, truncated at the identifier boundary: beam
+    search of width one, which asks the same ``top_k=1`` questions."""
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
-    context = list(prefix.ids)
-    text = ""
-    for _ in range(max_steps):
-        dist = next_distribution(backend, context, top_k=1)
-        context.append(dist.argmax)
-        text += vocab.texts[dist.argmax]
-        if identifier_prefix(text) != text:
-            break
-    return identifier_prefix(text)
+    return beam_search(backend, prefix, vocab, 1, max_steps)[0][0]
 
 
 def beam_search(

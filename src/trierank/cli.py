@@ -26,6 +26,7 @@ from .dataset import LoadedDataset, load_dataset, point_from_record
 from .errors import BackendUnavailable, ContextTooLong, TrierankError
 from .evaluate import (
     EvalConfig,
+    EvalReport,
     StrategyContext,
     evaluate,
     strategy_adapter,
@@ -196,13 +197,18 @@ def cmd_rank(args) -> int:
     return EXIT_OK
 
 
-def cmd_eval(args) -> int:
+def _evaluate(args, strategies=None) -> tuple[RunConfig, EvalReport]:
+    """The config and report of ``eval`` or ``stats``; ``strategies`` overrides the config's."""
     config = resolve_config(args)
     vocab = load_vocab(config)
     with closing(build_backend(config, vocab)) as backend:
         dataset = load_points(args.dataset)
-        report = evaluate(config.strategies, dataset, backend, vocab, config.eval)
+        report = evaluate(strategies or config.strategies, dataset, backend, vocab, config.eval)
+    return config, report
 
+
+def cmd_eval(args) -> int:
+    config, report = _evaluate(args)
     out = Path(config.out or "report.json")
     out.write_text(report.to_json(config.include_timing) + "\n", encoding="utf-8")
     table = report.table(config.include_timing)
@@ -217,12 +223,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    config = resolve_config(args)
-    vocab = load_vocab(config)
-    with closing(build_backend(config, vocab)) as backend:
-        dataset = load_points(args.dataset)
-        report = evaluate(["treeranker"], dataset, backend, vocab, config.eval)
-    stats = tree_statistics(report.details["treeranker"])
+    config, report = _evaluate(args, ["treeranker"])
+    stats = tree_statistics(report.details["treeranker"], report.strategies["treeranker"])
     width = max(len(k) for k in stats)
     for key, value in stats.items():
         shown = f"{value:.4f}" if isinstance(value, float) else str(value)

@@ -330,24 +330,20 @@ def evaluate(
     return EvalReport(dataset_summary, reports, warnings, config_echo, details)
 
 
-def tree_statistics(details: list[PointDetail]) -> dict:
-    """Tree-manipulation statistics over treeranker point details."""
-    if not details:
-        raise EmptyInput("no points evaluated")
-    decoded = [d.decode for d in details if d.decode is not None]
-    if not decoded:
+def tree_statistics(details: list[PointDetail], report: StrategyReport) -> dict:
+    """Tree-manipulation statistics over treeranker point details; the rates and
+    the token efficiency are the ones ``report`` aggregated from them."""
+    steps = [d.decode.steps_taken for d in details if d.decode is not None]
+    if not steps:
         raise EmptyInput("details carry no decode statistics")
-    steps = [s.steps_taken for s in decoded]
     return {
         "points": len(details),
-        "early_completion_rate": fmean(s.early_stopped for s in decoded),
-        "split_rate": fmean(s.splits > 0 for s in decoded),
-        "push_rate": fmean(s.pushes > 0 for s in decoded),
+        "early_completion_rate": report.early_stop_rate,
+        "split_rate": report.split_rate,
+        "push_rate": report.push_rate,
         "single_forward_pass_rate": fmean(s == 1 for s in steps),
         "within_two_passes_rate": fmean(s <= 2 for s in steps),
         "avg_generated_tokens": fmean(steps),
         "std_generated_tokens": stdev(steps) if len(steps) > 1 else 0.0,
-        "token_efficiency": fmean(
-            token_efficiency(d.gt_token_len, d.backend_calls) for d in details if d.backend_calls
-        ),
+        "token_efficiency": report.token_efficiency,
     }

@@ -139,22 +139,6 @@ class CompletionTree:
             for t in sorted(node.children, reverse=True):
                 stack.append(node.children[t])
 
-    def dump(self) -> str:
-        """Deterministic text rendering for golden-file tests."""
-        lines: list[str] = []
-        stack = [(self.root, 0)]
-        while stack:
-            node, depth = stack.pop()
-            if node.edge_token is None:
-                label = "<root>"
-            else:
-                label = f"{self.vocab.texts[node.edge_token]!r}({node.edge_token})"
-            members = ",".join(str(m) for m in sorted(node.members))
-            terminal = "" if node.terminal_for is None else f" terminal={node.terminal_for}"
-            lines.append(f"{'  ' * depth}{label} members={{{members}}}{terminal}")
-            stack.extend((node.children[t], depth + 1) for t in sorted(node.children, reverse=True))
-        return "\n".join(lines)
-
 
 def build_tree(candidates: list[str], vocab: Vocabulary) -> CompletionTree:
     """Build the completion trie for ``candidates`` under ``vocab``."""

@@ -76,10 +76,6 @@ class Vocabulary:
     # File format: one record per line, `<id>\t<escaped text>`, UTF-8.
     # Escapes: backslash, tab and newline only.
 
-    def save(self, path) -> None:
-        lines = [f"{i}\t{_escape(t)}" for i, t in enumerate(self.texts)]
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
     @classmethod
     def load(cls, path) -> "Vocabulary":
         entries: dict[int, str] = {}
@@ -103,10 +99,6 @@ class Vocabulary:
             return cls([entries[i] for i in range(len(entries))])
         except ValueError as exc:
             raise ParseError(0, str(exc)) from None
-
-
-def _escape(text: str) -> str:
-    return text.replace("\\", "\\\\").replace("\t", "\\t").replace("\n", "\\n")
 
 
 _UNESCAPES = {"\\": "\\", "t": "\t", "n": "\n"}

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import random
+from pathlib import Path
 
 from trierank import SeededBackend, Vocabulary, build_tree, greedy_tokenize
 from trierank.backend import ModelBackend
+from trierank.tree import CompletionTree
 
 LETTERS = "abcdef"
 PUNCT = [".", "(", "\n"]
@@ -23,6 +25,33 @@ class ScriptedBackend(ModelBackend):
         if table is not None:
             return table
         return self.fallback.raw_distribution(context)
+
+
+def dump_tree(tree: CompletionTree) -> str:
+    """Deterministic text rendering of ``tree`` for golden comparisons."""
+    lines: list[str] = []
+    stack = [(tree.root, 0)]
+    while stack:
+        node, depth = stack.pop()
+        if node.edge_token is None:
+            label = "<root>"
+        else:
+            label = f"{tree.vocab.texts[node.edge_token]!r}({node.edge_token})"
+        members = ",".join(str(m) for m in sorted(node.members))
+        terminal = "" if node.terminal_for is None else f" terminal={node.terminal_for}"
+        lines.append(f"{'  ' * depth}{label} members={{{members}}}{terminal}")
+        stack.extend((node.children[t], depth + 1) for t in sorted(node.children, reverse=True))
+    return "\n".join(lines)
+
+
+def save_vocab(vocab: Vocabulary, path) -> None:
+    """Write ``vocab`` in the ``<id>\\t<token>`` format :meth:`Vocabulary.load` reads."""
+
+    def escape(text: str) -> str:
+        return text.replace("\\", "\\\\").replace("\t", "\\t").replace("\n", "\\n")
+
+    lines = [f"{i}\t{escape(t)}" for i, t in enumerate(vocab.texts)]
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def random_vocab(rng: random.Random, max_tokens: int = 64) -> Vocabulary:

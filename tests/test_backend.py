@@ -109,12 +109,43 @@ class TestSpecParsing:
         with pytest.raises(MalformedSpec):
             MockBackend(default={0: 1.0}, contexts={(1, 2, 3, 4, 5): {0: 1.0}})
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            # ``range(1, 2)`` is a key of its own that names the suffix ``(1,)`` again.
+            lambda: MockBackend(default={0: 1.0}, contexts={(1,): {0: 1.0}, range(1, 2): {0: 1.0}}),
+            lambda: MockBackend(default={}),
+            lambda: mock_backend_from_spec(
+                {"default": {0: 1.0}, "contexts": [{"suffix": [1], "probs": {0: 1.0}}] * 2}
+            ),
+            lambda: mock_backend_from_spec([{"default": {0: 1.0}}]),
+            lambda: mock_backend_from_spec({"default": {"a": 1.0}}),
+            lambda: mock_backend_from_spec({"default": [1.0]}),
+        ],
+        ids=[
+            "duplicate-suffix", "empty-table", "duplicate-spec-suffix", "spec-not-a-mapping",
+            "token-text-without-vocabulary", "table-not-a-mapping",
+        ],
+    )
+    def test_malformed_spec_rejected(self, build):
+        with pytest.raises(MalformedSpec):
+            build()
+
+    def test_integer_token_ids_need_no_vocabulary(self):
+        backend = mock_backend_from_spec({"default": {1: 0.25, 0: 0.75}})
+        assert next_distribution(backend, [0]).probs == {1: 0.25, 0: 0.75}
+
     def test_spec_file_loading(self, tmp_path):
         vocab = Vocabulary.from_texts(["a", "b"])
         path = tmp_path / "spec.json"
         path.write_text('{"default": {"a": 0.9, "b": 0.1}}', encoding="utf-8")
         backend = mock_backend_from_spec(str(path), vocab)
         assert next_distribution(backend, [0]).argmax == vocab.id("a")
+
+
+def test_seeded_backend_needs_a_token():
+    with pytest.raises(ValueError):
+        SeededBackend(0, 1)
 
 
 def test_seeded_backend_bitwise_determinism():

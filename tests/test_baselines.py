@@ -134,6 +134,11 @@ class TestBeamSearch:
         beams = beam_search(backend, greedy_tokenize("a", vocab), vocab, width=2, max_steps=1)
         assert [ident for ident, _ in beams] == ["", "a"]
 
+    def test_width_zero_rejected(self, toy):
+        vocab, backend, prefix = toy
+        with pytest.raises(ValueError):
+            beam_search(backend, prefix, vocab, width=0)
+
     def test_width_larger_than_path_count(self, toy):
         vocab, backend, prefix = toy
         wide = beam_search(backend, prefix, vocab, width=500, max_steps=2)
@@ -323,6 +328,55 @@ def _baseline_results(backend, vocab, prefix, candidates):
         beam_search(backend, prefix, vocab, width=5),
         greedy_complete(backend, prefix, vocab),
     )
+
+
+def _loop_greedy_complete(backend, prefix, vocab, max_steps):
+    """The former ``greedy_complete``, its own argmax loop: the reference for
+    greedy decoding as beam search of width one."""
+    context = list(prefix.ids)
+    text = ""
+    for _ in range(max_steps):
+        dist = next_distribution(backend, context, top_k=1)
+        context.append(dist.argmax)
+        text += vocab.texts[dist.argmax]
+        if identifier_prefix(text) != text:
+            break
+    return identifier_prefix(text)
+
+
+class _AskRecorder(CountingBackend):
+    """Records every ask as ``(context, top_k)``."""
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.asks = []
+
+    def next_distribution(self, context, allowed=None, query=None, top_k=None):
+        self.asks.append((tuple(context), top_k))
+        return super().next_distribution(context, allowed, query, top_k)
+
+
+def test_greedy_complete_asks_and_returns_what_the_argmax_loop_did():
+    """On the fixtures, 60 tie-heavy table models with zero weights and
+    ``SeededBackend(2000, s)`` for three seeds, at several step budgets."""
+    models = [
+        (vocab, backend, [prefix for prefix, _ in points])
+        for vocab, backend, points in _models([0, 1, 2])
+    ]
+    vocab = Vocabulary.from_texts(["x", ".", "a", "b", "ab", "ba", "(", " a", "c"])
+    rng = random.Random(1)
+    prefixes = [greedy_tokenize(p, vocab) for p in ("x.", "a")]
+    models += [(vocab, _tie_heavy_backend(rng, vocab.size), prefixes) for _ in range(60)]
+    truncated = 0
+    for vocab, backend, prefixes in models:
+        for prefix in prefixes:
+            for max_steps in (1, 2, 3, 5, 16):
+                got, expected = _AskRecorder(backend), _AskRecorder(backend)
+                text = greedy_complete(got, prefix, vocab, max_steps)
+                assert text == _loop_greedy_complete(expected, prefix, vocab, max_steps)
+                assert got.asks == expected.asks
+                truncated += len(got.asks) < max_steps
+    assert truncated > 0
 
 
 class TestAskOnly:

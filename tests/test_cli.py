@@ -10,6 +10,8 @@ from trierank import Vocabulary, mock_backend_from_spec
 from trierank.cli import EXIT_BACKEND, EXIT_CONFIG, EXIT_OK, main
 from trierank.remote import serve_backend
 
+from support import save_vocab
+
 FIX = "fixtures"
 BASE = ["--backend", f"mock:{FIX}/mockspec.json", "--vocab", f"{FIX}/vocab.tsv"]
 
@@ -47,6 +49,28 @@ class TestRank:
         )
         assert code == EXIT_BACKEND
         assert "backend error" in err
+
+    def test_unsupported_remote_scheme_exits_3(self, capsys):
+        code, out, err = run(
+            capsys, "rank", "--backend", "remote:ftp://127.0.0.1/",
+            "--vocab", f"{FIX}/vocab.tsv", f"{FIX}/prefix.txt", "add", "clear",
+        )
+        assert code == EXIT_BACKEND and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("backend error: ")
+
+    def test_boundary_merged_candidate_warned_and_ranked(self, capsys, tmp_path):
+        vocab = tmp_path / "vocab.tsv"
+        save_vocab(Vocabulary.from_texts([*string.ascii_lowercase, ".", "_", "._"]), vocab)
+        code, out, err = run(
+            capsys, "rank", "--backend", "mock:1", "--vocab", str(vocab),
+            f"{FIX}/prefix.txt", "_id", "add",
+        )
+        assert code == EXIT_OK
+        assert err.splitlines() == [
+            "warning: candidate '_id' is unreachable as tokenized — the vocabulary "
+            "merges the dereference boundary into one token"
+        ]
+        assert {r["identifier"] for r in json.loads(out)["ranking"]} == {"_id", "add"}
 
     def test_baseline_strategy_record(self, capsys):
         code, out, _ = run(
@@ -349,6 +373,15 @@ def mock(spec) -> list:
         ["rank", *BASE, *mock({"default": {"add": 1}, "max_context": "x"}), PREFIX, "add"],
         ["compare", File([]), File([])],
         ["compare", File({"strategies": ["x"]}), File({"strategies": ["x"]})],
+        ["eval", *BASE, "--config", File(b"{"), f"{FIX}/smoke.jsonl"],
+        ["eval", *BASE, "--config", File([]), f"{FIX}/smoke.jsonl"],
+        ["eval", *BASE, "--config", File({"strategies": []}), f"{FIX}/smoke.jsonl"],
+        ["rank", "--backend", "mock:1", PREFIX, "add"],
+        ["rank", "--vocab", f"{FIX}/vocab.tsv", PREFIX, "add"],
+        ["rank", *BASE, "--backend", "mock", PREFIX, "add"],
+        ["rank", *BASE, "--backend", "ftp:x", PREFIX, "add"],
+        ["rank", *BASE, "--strategy", "greedy", "--strategy", "beam5", PREFIX, "add"],
+        ["compare", File(b"{"), File(b"{")],
     ],
     ids=[
         "max-steps-0", "empty-candidate", "empty-candidate-greedy", "negative-alpha", "jobs-0", "prefix-file", "candidates-file", "dataset",
@@ -357,7 +390,9 @@ def mock(spec) -> list:
         "spec-non-numeric-probability",
         "spec-context-without-suffix", "spec-invalid-json", "spec-contexts-not-a-list",
         "spec-unhashable-token", "spec-max-context-not-an-integer", "report-is-a-list",
-        "report-strategies-is-a-list",
+        "report-strategies-is-a-list", "config-invalid-json", "config-not-an-object",
+        "config-no-strategies", "no-vocab", "no-backend", "backend-without-scheme",
+        "backend-unknown-scheme", "rank-two-strategies", "report-invalid-json",
     ],
 )
 def test_invalid_input_exits_2_with_one_error_line(capsys, tmp_path, argv):
@@ -386,7 +421,7 @@ def test_rank_tokenizes_the_prefix_at_most_twice(capsys, monkeypatch, tmp_path):
                 if bound is real:
                     monkeypatch.setattr(module, attr, counting)
     vocab = tmp_path / "vocab.tsv"
-    Vocabulary.from_texts(string.ascii_letters + string.digits + "._()").save(vocab)
+    save_vocab(Vocabulary.from_texts(string.ascii_letters + string.digits + "._()"), vocab)
     prefix = tmp_path / "prefix.txt"
     prefix.write_text(prefix_text, encoding="utf-8")
     candidates = [f"item{i}" for i in range(60)]

@@ -104,6 +104,12 @@ def test_schema_errors(mutation, field):
     assert err.value.field == field
 
 
+def test_record_not_an_object_rejected(tmp_path):
+    loaded = load_dataset(write_jsonl(tmp_path, [point(), "[1, 2]"]))
+    assert [p.id for p in loaded] == ["p1"]
+    assert loaded.warnings == ["line 2: rejected (field '<record>': expected an object)"]
+
+
 def test_empty_prefix_rejected():
     with pytest.raises(SchemaError) as err:
         point_from_record(point(prefix=""))

@@ -12,7 +12,14 @@ from trierank import (
     mock_backend_from_spec,
 )
 from trierank.errors import ContextTooLong, EmptyCandidateList, EmptyInput
-from trierank.evaluate import EvalConfig, UnknownStrategy, evaluate, tree_statistics
+from trierank.evaluate import (
+    EvalConfig,
+    StrategyContext,
+    UnknownStrategy,
+    evaluate,
+    strategy_adapter,
+    tree_statistics,
+)
 from trierank.ranking import DecodeConfig
 from trierank.remote import serve_backend
 
@@ -71,12 +78,26 @@ class TestTreeranker:
     def test_tree_statistics(self, fixture_env):
         vocab, backend, dataset = fixture_env
         report = evaluate("treeranker", dataset, backend, vocab)
-        stats = tree_statistics(report.details["treeranker"])
+        stats = tree_statistics(report.details["treeranker"], report.strategies["treeranker"])
         assert stats["early_completion_rate"] == 1.0
         assert stats["split_rate"] == 0.25
         assert stats["single_forward_pass_rate"] == 0.5
         assert stats["within_two_passes_rate"] == 1.0
         assert stats["avg_generated_tokens"] == 1.5
+
+    def test_tree_statistics_need_decode_statistics(self, fixture_env):
+        vocab, backend, dataset = fixture_env
+        report = evaluate("beamall", dataset, backend, vocab)
+        with pytest.raises(EmptyInput):
+            tree_statistics(report.details["beamall"], report.strategies["beamall"])
+
+    def test_emits_the_committed_text_when_no_candidate_is_identified(self, fixture_env):
+        """One step on ``add``/``addAll``/``clear`` commits ``add``, shared by two."""
+        vocab, backend, dataset = fixture_env
+        ctx = StrategyContext(vocab, EvalConfig(decode=DecodeConfig(max_steps=1)))
+        result = strategy_adapter("treeranker")(dataset.points[0], backend, ctx)
+        assert result.decode.identified is None
+        assert result.emitted == "add"
 
 
 class TestBaselineStrategies:
@@ -89,6 +110,11 @@ class TestBaselineStrategies:
         assert rep.mrr == pytest.approx((1 / 3 + 1 / 2 + 1 + 1) / 4)
         assert rep.recall[1] == 0.5
         assert rep.token_efficiency is None
+
+    def test_ide_baseline_missing_from_a_point_rejected(self, fixture_env):
+        vocab, _, dataset = fixture_env
+        with pytest.raises(UnknownStrategy, match="carries no baseline ranking 'eclipse'"):
+            evaluate("ide-baseline:eclipse", dataset, NoCalls(), vocab)
 
     def test_greedy_exact_match(self, fixture_env):
         vocab, backend, dataset = fixture_env

@@ -11,6 +11,8 @@ from trierank import (
 )
 from trierank.errors import DuplicateCandidate, EmptyCandidateList, EmptyInput, NotASharedPrefix
 
+from support import dump_tree
+
 
 def assert_members_consistent(tree):
     def walk(node):
@@ -85,7 +87,7 @@ class TestBuild:
     def test_build_is_deterministic(self, worked_vocab, worked_candidates):
         a = build_tree(worked_candidates, worked_vocab)
         b = build_tree(worked_candidates, worked_vocab)
-        assert a.dump() == b.dump()
+        assert dump_tree(a) == dump_tree(b)
 
 
 def continuations(node):
@@ -214,7 +216,7 @@ class TestMainTokenPush:
 
 
 def test_dump_golden(worked_tree):
-    assert worked_tree.dump() == "\n".join(
+    assert dump_tree(worked_tree) == "\n".join(
         [
             "<root> members={0,1,2}",
             "  'add'(2) members={0,1} terminal=0",
@@ -231,7 +233,7 @@ def test_walks_handle_1500_token_paths():
     idents = ["a" * 1500 + "bc", "a" * 1500 + "bd"]
     tree = build_tree(idents, vocab)
     assert tree.spelled_identifiers() == set(idents)
-    lines = tree.dump().split("\n")
+    lines = dump_tree(tree).split("\n")
     assert len(lines) == 1503
     assert lines[-2:] == [
         "  " * 1501 + "'bc'(4) members={0} terminal=0",

@@ -20,6 +20,8 @@ from trierank.evaluate import EvalConfig, evaluate
 from trierank.errors import ParseError, UncoverableText
 from trierank.vocab import boundary_merged, identifier_prefix
 
+from support import save_vocab
+
 
 def vocab_of(*texts):
     return Vocabulary.from_texts(texts)
@@ -247,7 +249,7 @@ class TestVocabulary:
     def test_file_roundtrip_with_escapes(self, tmp_path):
         v = vocab_of("plain", "has\ttab", "has\nnewline", "back\\slash", ".")
         path = tmp_path / "vocab.tsv"
-        v.save(path)
+        save_vocab(v, path)
         loaded = Vocabulary.load(path)
         assert loaded.texts == v.texts
 
