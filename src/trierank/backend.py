@@ -50,7 +50,7 @@ from operator import getitem, itemgetter
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence, Union
 
-from .errors import ContextTooLong, EmptyInput, MalformedSpec
+from .errors import ContextTooLong, EmptyInput, EmptyMask, MalformedSpec
 from .vocab import TokenSeq, Vocabulary
 
 MAX_SUFFIX_KEY = 4
@@ -75,15 +75,15 @@ class Distribution:
 
 @dataclass(frozen=True)
 class LogitMask:
-    """The token ids a constrained step may select: the explicit ``ids`` plus
-    every id of the ``termination`` class, which may overlap them."""
+    """The token ids a constrained step may select, at least one (else :class:`EmptyMask`):
+    the explicit ``ids`` plus every id of the ``termination`` class, which may overlap them."""
 
     ids: frozenset[int]
     termination: frozenset[int] = frozenset()
 
     def __post_init__(self):
         if not self.ids and not self.termination:
-            raise ValueError("mask must allow at least one token")
+            raise EmptyMask("mask must allow at least one token")
 
     def __contains__(self, token: int) -> bool:
         return token in self.ids or token in self.termination

@@ -46,8 +46,6 @@ def greedy_complete(
 ) -> str:
     """Unconstrained argmax decode, truncated at the identifier boundary: beam
     search of width one, which asks the same ``top_k=1`` questions."""
-    if max_steps < 1:
-        raise ValueError("max_steps must be >= 1")
     return beam_search(backend, prefix, vocab, 1, max_steps)[0][0]
 
 
@@ -66,10 +64,11 @@ def beam_search(
     token's log-probability is included). Equal scores keep their creation
     order: carried-over finished beams, already ranked, precede the new
     ones, which keep their expansion order. Returns distinct identifier
-    strings with their best scores, descending.
+    strings with their best scores, descending. ``width`` and ``max_steps``
+    are >= 1: a decode of no step would return the empty identifier.
     """
-    if width < 1:
-        raise ValueError("width must be >= 1")
+    if width < 1 or max_steps < 1:
+        raise ValueError("width and max_steps must be >= 1")
     beams = [BeamHypothesis((), "", 0.0, False)]
     for _ in range(max_steps):
         live = [b for b in beams if not b.finished]
@@ -140,7 +139,6 @@ def beam_all(
     for cand, ident in enumerate(tree.identifiers):
         length = len(tree.token_seqs[cand])
         total = sums[cand]
-        penalized = total / (length**alpha) if length > 0 else float("-inf")
-        scores.append(BeamAllScore(cand, ident, total, length, penalized))
+        scores.append(BeamAllScore(cand, ident, total, length, total / length**alpha))
     scores.sort(key=lambda s: (-s.penalized, s.candidate))
     return scores

@@ -57,10 +57,7 @@ def t_critical_95(df: int) -> float:
     """Two-sided 95% Student t quantile; conservative lookup above df=120."""
     if df < 1:
         raise ValueError("df must be >= 1")
-    if df in _T_95:
-        return _T_95[df]
-    fits = [d for d in _T_95 if d <= df]
-    return _T_95[max(fits)] if fits else 1.960
+    return _T_95[max(d for d in _T_95 if d <= df)]
 
 
 def mean_and_ci95(values: Iterable[float]) -> tuple[float, float]:

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .backend import LogitMask, ModelBackend, next_distribution
-from .errors import EmptyMask, MissingChildProbability, NotASharedPrefix
+from .errors import MissingChildProbability, NotASharedPrefix
 from .tree import TreeNode, build_tree
 from .vocab import TokenSeq, Vocabulary, full_subtoken_map
 
@@ -71,13 +71,11 @@ def build_allowed_set(
 ) -> LogitMask:
     """Tokens admissible at ``node``: child mains and their subtokens as explicit
     ids, and — at a terminal node, when configured — the vocabulary's shared
-    class of identifier-ending tokens."""
+    class of identifier-ending tokens; if none, the mask raises :class:`EmptyMask`."""
     explicit: set[int] = set(node.children)
     for t in node.children:
         explicit.update(submap[t])
     terminal = node.terminal_for is not None and config.include_termination_mass
-    if not explicit and not terminal:
-        raise EmptyMask("childless terminal node with termination handling off")
     return LogitMask(frozenset(explicit), vocab.termination_ids() if terminal else frozenset())
 
 

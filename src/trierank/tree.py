@@ -18,7 +18,8 @@ from .vocab import TokenSeq, Vocabulary, greedy_tokenize
 
 @dataclass
 class TreeNode:
-    edge_token: int | None = None
+    """A trie node; the token of the edge into it is its key in its parent's ``children``."""
+
     children: dict[int, "TreeNode"] = field(default_factory=dict)
     members: set[int] = field(default_factory=set)
     terminal_for: int | None = None
@@ -57,7 +58,9 @@ class CompletionTree:
         node = self.root if base is None else base
         node.members.add(candidate)
         for t in tokens:
-            node = node.children.setdefault(t, TreeNode(edge_token=t))
+            if t not in node.children:
+                node.children[t] = TreeNode()
+            node = node.children[t]
             node.members.add(candidate)
         assert node.terminal_for is None, "distinct identifiers cannot share a token path"
         node.terminal_for = candidate
@@ -98,8 +101,7 @@ class CompletionTree:
 
         target = node.children.get(subtoken)
         if target is None:
-            target = TreeNode(edge_token=subtoken)
-            node.children[subtoken] = target
+            target = node.children[subtoken] = TreeNode()
 
         for cand in sorted(moved):
             suffix = self.identifiers[cand][len(consumed) + len(sub_text) :]

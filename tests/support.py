@@ -30,17 +30,14 @@ class ScriptedBackend(ModelBackend):
 def dump_tree(tree: CompletionTree) -> str:
     """Deterministic text rendering of ``tree`` for golden comparisons."""
     lines: list[str] = []
-    stack = [(tree.root, 0)]
+    stack = [(tree.root, None, 0)]
     while stack:
-        node, depth = stack.pop()
-        if node.edge_token is None:
-            label = "<root>"
-        else:
-            label = f"{tree.vocab.texts[node.edge_token]!r}({node.edge_token})"
+        node, edge, depth = stack.pop()
+        label = "<root>" if edge is None else f"{tree.vocab.texts[edge]!r}({edge})"
         members = ",".join(str(m) for m in sorted(node.members))
         terminal = "" if node.terminal_for is None else f" terminal={node.terminal_for}"
         lines.append(f"{'  ' * depth}{label} members={{{members}}}{terminal}")
-        stack.extend((node.children[t], depth + 1) for t in sorted(node.children, reverse=True))
+        stack.extend((node.children[t], t, depth + 1) for t in sorted(node.children, reverse=True))
     return "\n".join(lines)
 
 

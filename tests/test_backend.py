@@ -15,7 +15,7 @@ from trierank import (
     next_distribution,
 )
 from trierank.backend import _argmax
-from trierank.errors import ContextTooLong, EmptyInput, MalformedSpec
+from trierank.errors import ContextTooLong, EmptyInput, EmptyMask, MalformedSpec
 
 ADD, CLEAR, RET = 0, 1, 2
 TABLE = {ADD: 0.6, CLEAR: 0.3, RET: 0.1}
@@ -242,7 +242,7 @@ def test_empty_context_rejected():
 
 
 def test_empty_mask_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(EmptyMask, match="mask must allow at least one token"):
         LogitMask(frozenset())
 
 

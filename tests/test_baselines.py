@@ -139,6 +139,12 @@ class TestBeamSearch:
         with pytest.raises(ValueError):
             beam_search(backend, prefix, vocab, width=0)
 
+    def test_max_steps_zero_rejected(self, toy):
+        # A decode of no step would return the empty identifier.
+        vocab, backend, prefix = toy
+        with pytest.raises(ValueError, match="max_steps"):
+            beam_search(backend, prefix, vocab, width=2, max_steps=0)
+
     def test_width_larger_than_path_count(self, toy):
         vocab, backend, prefix = toy
         wide = beam_search(backend, prefix, vocab, width=500, max_steps=2)

@@ -209,7 +209,7 @@ class TestBuildAllowedSet:
 
     def test_childless_terminal_with_termination_off(self):
         vocab = Vocabulary.from_texts(["add"])
-        node = TreeNode(edge_token=0, terminal_for=0)
+        node = TreeNode(terminal_for=0)
         with pytest.raises(EmptyMask):
             build_allowed_set(
                 node, full_subtoken_map(vocab), vocab, self.config(include_termination_mass=False)

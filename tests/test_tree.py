@@ -1,5 +1,6 @@
 import pytest
 
+import trierank.tree
 from trierank import (
     CountingBackend,
     SeededBackend,
@@ -11,7 +12,7 @@ from trierank import (
 )
 from trierank.errors import DuplicateCandidate, EmptyCandidateList, EmptyInput, NotASharedPrefix
 
-from support import dump_tree
+from support import dump_tree, random_model
 
 
 def assert_members_consistent(tree):
@@ -119,7 +120,7 @@ class TestSplit:
         tree = build_tree(["isEmpty", "isDone"], vocab)
         before = tree.spelled_identifiers()
         node = tree.split_on_subtoken(tree.root, vocab.id("is"))
-        assert node.edge_token == vocab.id("is")
+        assert tree.root.children[vocab.id("is")] is node
         assert set(tree.root.children) == {vocab.id("is")}
         assert {vocab.texts[t] for t in node.children} == {"Empty", "Done"}
         assert node.children[vocab.id("Empty")].members == {0}
@@ -243,3 +244,20 @@ def test_walks_handle_1500_token_paths():
     scores = beam_all(backend, tree, greedy_tokenize("a", vocab))
     assert {s.identifier for s in scores} == set(idents)
     assert backend.calls == 1501
+
+
+def test_build_constructs_each_node_once(monkeypatch):
+    constructed = 0
+
+    class Counted(trierank.tree.TreeNode):
+        def __init__(self, *args, **kwargs):
+            nonlocal constructed
+            constructed += 1
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(trierank.tree, "TreeNode", Counted)
+    for seed in range(20):
+        vocab, candidates, _, _ = random_model(seed)
+        constructed = 0
+        tree = build_tree(candidates, vocab)
+        assert constructed == sum(1 for _ in tree.walk())
