@@ -48,6 +48,16 @@ def _string_list(value, fieldname: str) -> list[str]:
     return value
 
 
+def _object(record: dict, fieldname: str) -> dict:
+    """An optional object field; only an absent or null one means empty."""
+    value = record.get(fieldname)
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise SchemaError(fieldname, "expected an object")
+    return value
+
+
 def point_from_record(record: dict) -> tuple[CompletionPoint, list[str]]:
     """Validate one parsed record; returns the point plus non-fatal notes."""
     if not isinstance(record, dict):
@@ -76,15 +86,10 @@ def point_from_record(record: dict) -> tuple[CompletionPoint, list[str]]:
         seen.add(c)
         candidates.append(c)
 
-    baselines = record.get("baselines") or {}
-    if not isinstance(baselines, dict):
-        raise SchemaError("baselines", "expected an object")
+    baselines = _object(record, "baselines")
     for name, ranking in baselines.items():
         _string_list(ranking, f"baselines.{name}")
-
-    meta = record.get("meta") or {}
-    if not isinstance(meta, dict):
-        raise SchemaError("meta", "expected an object")
+    meta = _object(record, "meta")
 
     point = CompletionPoint(
         id=record["id"],

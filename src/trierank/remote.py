@@ -21,6 +21,12 @@ probable ids, ties to the smallest id, and ``argmax`` is ``null`` at
 :func:`~trierank.backend.top_k_answer`. A ``top_k`` that is not a
 non-negative integer, or one sent with ``allowed``, is a bad request.
 
+The client reads a 200 answer only if it fits its ask (:func:`_read_answer`):
+every key a decimal id, every value a finite non-negative number, ``argmax``
+an integer it reports (inside the mask for a masked ask) or ``null`` for an
+unmasked ``top_k=0`` ask alone, and every ``query`` id and explicit mask id
+reported. Any other answer raises :class:`BackendUnavailable`.
+
 Connections are HTTP/1.1 and persistent. A :class:`RemoteBackend` asks on an
 idle connection or a new one, so its threads share no socket. The server sets
 ``TCP_NODELAY``, because it writes a reply's headers and body separately and
@@ -58,6 +64,7 @@ import contextlib
 import http.client
 import json
 import logging
+import math
 import socket
 import threading
 import urllib.parse
@@ -74,6 +81,16 @@ list at a 32k vocabulary is about 116 KB."""
 IDLE_TIMEOUT_S = 30.0
 """Seconds a server-side connection may wait for its next request."""
 
+_NUMBERS = frozenset((int, float))
+
+
+def _refuse_constant(name: str):
+    raise ValueError(f"{name} is not a probability")
+
+
+# Parses answers with NaN and Infinity refused; one decoder serves every call.
+_ANSWER_DECODER = json.JSONDecoder(parse_constant=_refuse_constant)
+
 
 class RemoteBackend(ModelBackend):
     """Client side of the protocol; safe to share between threads.
@@ -89,14 +106,19 @@ class RemoteBackend(ModelBackend):
         self._idle: list[http.client.HTTPConnection] = []
 
     def next_distribution(self, context, allowed=None, query=None, top_k=None) -> Distribution:
+        query = sorted(query) if query else None
         payload = {
             "context_tokens": list(context),
             "allowed": sorted(allowed.allowed) if allowed is not None else None,
-            "query": sorted(query) if query else None,
+            "query": query,
         }
         if top_k is not None:
             payload["top_k"] = top_k
-        return self._request(payload)
+        data = self._request(payload)
+        try:
+            return _read_answer(data, allowed, query or (), top_k)
+        except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+            raise BackendUnavailable(f"malformed response from {self.endpoint}: {exc}") from None
 
     def close(self) -> None:
         """Close every idle connection once no ask is in flight; the next ask
@@ -104,7 +126,8 @@ class RemoteBackend(ModelBackend):
         while self._idle:
             self._idle.pop().close()
 
-    def _request(self, payload: dict) -> Distribution:
+    def _request(self, payload: dict) -> bytes:
+        """The body of the 200 answer to ``payload``."""
         try:
             response, data = self._post(json.dumps(payload).encode("utf-8"))
         except (http.client.HTTPException, OSError) as exc:  # TimeoutError is an OSError
@@ -113,13 +136,7 @@ class RemoteBackend(ModelBackend):
             raise ContextTooLong(f"server rejected context: {response.reason}")
         if response.status != 200:
             raise BackendUnavailable(f"HTTP {response.status} from {self.endpoint}")
-        try:
-            body = json.loads(data.decode("utf-8"))
-            probs = {int(token): float(p) for token, p in body["probs"].items()}
-            argmax = body["argmax"]
-            return Distribution(probs, None if argmax is None else int(argmax))
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            raise BackendUnavailable(f"malformed response from {self.endpoint}: {exc}") from None
+        return data
 
     def _post(self, body: bytes) -> tuple[http.client.HTTPResponse, bytes]:
         """One exchange on an idle connection or a new one. The server may have
@@ -146,6 +163,39 @@ class RemoteBackend(ModelBackend):
             exchanged = _exchange(connection, target, body)  # on a new connection
         self._idle.append(connection)
         return exchanged
+
+
+def _read_answer(data: bytes, mask: LogitMask | None, query, top_k: int | None) -> Distribution:
+    """The distribution a 200 answer holds. Raises ``ValueError`` (or a lookup or
+    type error) unless every key is a decimal id and every value a finite,
+    non-negative number, and the answer reports what the ask reads: a
+    non-null ``argmax`` among the ids, inside ``mask`` for a masked ask, and
+    every explicit mask id and ``query`` id. Only an unmasked ``top_k=0`` ask
+    may get a null ``argmax``."""
+    body = _ANSWER_DECODER.decode(data.decode("utf-8"))
+    table, argmax = body["probs"], body["argmax"]
+    # Each check runs in C over the whole answer. ``int()`` alone would take
+    # "1_0" and " 1", and ``float()`` would take true and "0.5".
+    digits = "".join(table).replace("-", "")
+    if digits and not (digits.isascii() and digits.isdigit()):
+        raise ValueError("an id is not a decimal integer")
+    if not _NUMBERS.issuperset(map(type, table.values())):
+        raise ValueError("a probability is not a JSON number")
+    probs = dict(zip(map(int, table), map(float, table.values())))
+    # With NaN refused while parsing, ``min`` and ``max`` see every value.
+    if probs and not 0.0 <= min(probs.values()) <= max(probs.values()) < math.inf:
+        raise ValueError("a probability is negative or not finite")
+    if argmax is None:
+        if mask is not None or top_k != 0:
+            raise ValueError("null argmax for an ask that reads it")
+    elif type(argmax) is not int or argmax not in probs:
+        raise ValueError(f"argmax {argmax!r} is not a reported id")
+    elif mask is not None and argmax not in mask:
+        raise ValueError(f"argmax {argmax} lies outside the mask")
+    asked = set(query) if mask is None else mask.ids.union(query)
+    if not probs.keys() >= asked:
+        raise ValueError(f"no probability for asked id {min(asked - probs.keys())}")
+    return Distribution(probs, argmax)
 
 
 def _exchange(

@@ -145,6 +145,20 @@ def descent_candidate(vocab: Vocabulary, candidates: list[str], descent: list[in
     return next(iter(node.members))
 
 
+def garble(server, body: bytes) -> None:
+    """Make ``server`` answer every request with ``body`` in place of its own
+    answer, under the status the request would have got."""
+
+    class Garbled(server.RequestHandlerClass):
+        def _reply(self, code, _):
+            self.send_response(code)
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+
+    server.RequestHandlerClass = Garbled
+
+
 def count_connections(server) -> list:
     """The connections ``server`` accepts from now on, one entry each, counted
     at the handler's ``setup``."""

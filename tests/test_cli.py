@@ -6,11 +6,11 @@ from pathlib import Path
 import pytest
 
 import trierank.vocab
-from trierank import Vocabulary, mock_backend_from_spec
+from trierank import MockBackend, Vocabulary, mock_backend_from_spec
 from trierank.cli import EXIT_BACKEND, EXIT_CONFIG, EXIT_OK, main
 from trierank.remote import serve_backend
 
-from support import save_vocab
+from support import garble, save_vocab
 
 FIX = "fixtures"
 BASE = ["--backend", f"mock:{FIX}/mockspec.json", "--vocab", f"{FIX}/vocab.tsv"]
@@ -49,6 +49,20 @@ class TestRank:
         )
         assert code == EXIT_BACKEND
         assert "backend error" in err
+
+    def test_malformed_remote_answer_exits_3(self, capsys):
+        server, url = serve_backend(MockBackend(default={0: 1.0}))
+        garble(server, b'{"probs": {"1": "0.5"}, "argmax": 1}')
+        try:
+            code, out, err = run(
+                capsys, "rank", "--backend", f"remote:{url}",
+                "--vocab", f"{FIX}/vocab.tsv", f"{FIX}/prefix.txt", "add", "clear",
+            )
+        finally:
+            server.shutdown()
+            server.server_close()
+        assert code == EXIT_BACKEND and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("backend error: malformed response")
 
     def test_unsupported_remote_scheme_exits_3(self, capsys):
         code, out, err = run(

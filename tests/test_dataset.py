@@ -71,6 +71,11 @@ def test_baselines_and_meta_parsed(tmp_path):
     assert loaded.points[0].meta["repo"] == "r"
 
 
+def test_null_baselines_and_meta_mean_empty():
+    loaded, _ = point_from_record(point(baselines=None, meta=None))
+    assert loaded.baselines == {} and loaded.meta == {}
+
+
 def test_baselines_list_rejected(tmp_path):
     path = write_jsonl(tmp_path, [point(), point(id="p2", baselines=["intellij"])])
     loaded = load_dataset(path)
@@ -93,6 +98,14 @@ def test_baselines_list_rejected(tmp_path):
         (lambda r: r.update(candidates=["", "add"]), "candidates"),
         (lambda r: r.update(id=7), "id"),
         (lambda r: r.update(meta=[1]), "meta"),
+        (lambda r: r.update(meta=[]), "meta"),
+        (lambda r: r.update(meta=False), "meta"),
+        (lambda r: r.update(meta=""), "meta"),
+        (lambda r: r.update(meta=0), "meta"),
+        (lambda r: r.update(baselines=[]), "baselines"),
+        (lambda r: r.update(baselines=False), "baselines"),
+        (lambda r: r.update(baselines=""), "baselines"),
+        (lambda r: r.update(baselines=0), "baselines"),
         (lambda r: r.update(baselines={"x": ["a", 3]}), "baselines.x"),
     ],
 )

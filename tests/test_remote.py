@@ -12,6 +12,7 @@ import pytest
 
 from trierank import (
     LogitMask,
+    beam_all,
     MockBackend,
     ModelBackend,
     SeededBackend,
@@ -26,7 +27,7 @@ from trierank.errors import BackendUnavailable, ContextTooLong
 from trierank.ranking import DecodeConfig, build_allowed_set
 from trierank.remote import MAX_BODY_BYTES, RemoteBackend, serve_backend
 
-from support import count_connections
+from support import count_connections, garble
 
 
 @pytest.fixture
@@ -481,7 +482,32 @@ def test_an_error_reply_ends_the_connection_and_the_client_recovers(bad_ask, err
         server.server_close()
 
 
-@pytest.mark.parametrize("body", [b"not json", b"[1]", b'{"probs": [], "argmax": 1}'])
+@pytest.mark.parametrize(
+    "body",
+    [
+        b"not json",
+        b"[1]",
+        b'{"probs": [], "argmax": 1}',
+        b'{"probs": {"1": 0.5}}',
+        b'{"probs": {"1": 0.5}, "argmax": true}',
+        b'{"probs": {"1": 0.5}, "argmax": 99}',
+        b'{"probs": {"1": 0.5}, "argmax": 1.9}',
+        b'{"probs": {"1": 0.5}, "argmax": "1"}',
+        b'{"probs": {"1": 0.5}, "argmax": null}',
+        b'{"probs": {"1": "0.5"}, "argmax": 1}',
+        b'{"probs": {"1": true}, "argmax": 1}',
+        b'{"probs": {"1": null}, "argmax": 1}',
+        b'{"probs": {"1": NaN}, "argmax": 1}',
+        b'{"probs": {"1": Infinity}, "argmax": 1}',
+        b'{"probs": {"1": 1e999}, "argmax": 1}',
+        b'{"probs": {"1": -4}, "argmax": 1}',
+        b'{"probs": {"1": 1' + b"0" * 400 + b'}, "argmax": 1}',
+        b'{"probs": {"one": 0.5}, "argmax": 1}',
+        b'{"probs": {"1_0": 0.5}, "argmax": 10}',
+        b'{"probs": {" 1": 0.5}, "argmax": 1}',
+        b'{"probs": {"1.0": 0.5}, "argmax": 1}',
+    ],
+)
 def test_a_malformed_answer_is_backend_error(hosted, body, connect):
     _, _, server, url = hosted
 
@@ -495,6 +521,58 @@ def test_a_malformed_answer_is_backend_error(hosted, body, connect):
     server.RequestHandlerClass = Garbled
     with pytest.raises(BackendUnavailable, match="malformed response"):
         connect(url).next_distribution([1])
+
+
+MASK = LogitMask(frozenset({1, 2}))
+
+
+@pytest.mark.parametrize(
+    "ask, body",
+    [
+        ({"allowed": MASK}, {"probs": {"1": 0.5, "2": 0.4, "3": 0.9}, "argmax": 3}),
+        ({"allowed": MASK}, {"probs": {"1": 0.5, "2": 0.5, "-1": 0.0}, "argmax": -1}),
+        ({"allowed": MASK}, {"probs": {"1": 1.0}, "argmax": 1}),
+        ({"allowed": MASK}, {"probs": {"1": 0.5, "2": 0.5}, "argmax": None}),
+        ({"query": [1, 2], "top_k": 0}, {"probs": {"1": 0.5}, "argmax": None}),
+        ({"query": [1, 2], "top_k": 1}, {"probs": {"1": 0.5, "2": 0.5}, "argmax": None}),
+        ({"query": [2], "top_k": None}, {"probs": {"1": 1.0}, "argmax": 1}),
+    ],
+    ids=[
+        "argmax-outside-mask", "negative-argmax-outside-mask", "mask-id-missing",
+        "masked-null-argmax", "query-id-missing", "top-k-1-null-argmax", "whole-table-query-missing",
+    ],
+)
+def test_an_answer_that_lacks_what_the_ask_reads_is_backend_error(hosted, ask, body, connect):
+    _, _, server, url = hosted
+    garble(server, json.dumps(body).encode())
+    with pytest.raises(BackendUnavailable, match="malformed response"):
+        next_distribution(connect(url), [1], ask.get("allowed"), ask.get("query"), ask.get("top_k"))
+
+
+@pytest.mark.parametrize(
+    "ask", [{}, {"query": [1, 2], "top_k": 0}, {"query": [2], "top_k": 1}, {"allowed": MASK}]
+)
+def test_a_v1_whole_table_answers_every_ask(hosted, ask, connect):
+    """A v1 server answers every unmasked ask with the whole table and its argmax."""
+    _, _, server, url = hosted
+    garble(server, b'{"probs": {"1": 0.7, "2": 0.3}, "argmax": 1}')
+    dist = next_distribution(connect(url), [1], ask.get("allowed"), ask.get("query"), ask.get("top_k"))
+    assert dist.probs == {1: 0.7, 2: 0.3} and dist.argmax == 1
+
+
+def test_rank_and_beam_all_report_a_malformed_answer(hosted, connect):
+    vocab, _, server, url = hosted
+    prefix, candidates = greedy_tokenize("x.", vocab), ["add", "clear"]
+    add, clear = vocab.id("add"), vocab.id("clear")
+    # A connection keeps the handler it was accepted with: each body gets a new client.
+    # An argmax outside the mask, which the decode used to assert on.
+    garble(server, json.dumps({"probs": {add: 0.5, clear: 0.5, 0: 0.9}, "argmax": 0}).encode())
+    with pytest.raises(BackendUnavailable, match="outside the mask"):
+        rank(connect(url), prefix, candidates, vocab)
+    # A top_k=0 answer without a child's probability, which beam_all used to index.
+    garble(server, json.dumps({"probs": {add: 0.5}, "argmax": None}).encode())
+    with pytest.raises(BackendUnavailable, match=f"asked id {clear}"):
+        beam_all(connect(url), build_tree(candidates, vocab), prefix)
 
 
 class _ThreeArgument(ModelBackend):
