@@ -22,10 +22,10 @@ probable ids, ties to the smallest id, and ``argmax`` is ``null`` at
 non-negative integer, or one sent with ``allowed``, is a bad request.
 
 The client reads a 200 answer only if it fits its ask (:func:`_read_answer`):
-every key a decimal id, every value a finite non-negative number, ``argmax``
-an integer it reports (inside the mask for a masked ask) or ``null`` for an
-unmasked ``top_k=0`` ask alone, and every ``query`` id and explicit mask id
-reported. Any other answer raises :class:`BackendUnavailable`.
+every key a distinct decimal id, every value a finite non-negative number,
+``argmax`` an integer it reports (inside the mask for a masked ask) or
+``null`` for an unmasked ``top_k=0`` ask alone, and every ``query`` id and
+explicit mask id reported. Any other answer raises :class:`BackendUnavailable`.
 
 Connections are HTTP/1.1 and persistent. A :class:`RemoteBackend` asks on an
 idle connection or a new one, so its threads share no socket. The server sets
@@ -80,9 +80,6 @@ list at a 32k vocabulary is about 116 KB."""
 
 IDLE_TIMEOUT_S = 30.0
 """Seconds a server-side connection may wait for its next request."""
-
-_NUMBERS = frozenset((int, float))
-
 
 def _refuse_constant(name: str):
     raise ValueError(f"{name} is not a probability")
@@ -167,8 +164,8 @@ class RemoteBackend(ModelBackend):
 
 def _read_answer(data: bytes, mask: LogitMask | None, query, top_k: int | None) -> Distribution:
     """The distribution a 200 answer holds. Raises ``ValueError`` (or a lookup or
-    type error) unless every key is a decimal id and every value a finite,
-    non-negative number, and the answer reports what the ask reads: a
+    type error) unless every key is a distinct decimal id and every value a
+    finite, non-negative number, and the answer reports what the ask reads: a
     non-null ``argmax`` among the ids, inside ``mask`` for a masked ask, and
     every explicit mask id and ``query`` id. Only an unmasked ``top_k=0`` ask
     may get a null ``argmax``."""
@@ -179,9 +176,11 @@ def _read_answer(data: bytes, mask: LogitMask | None, query, top_k: int | None) 
     digits = "".join(table).replace("-", "")
     if digits and not (digits.isascii() and digits.isdigit()):
         raise ValueError("an id is not a decimal integer")
-    if not _NUMBERS.issuperset(map(type, table.values())):
+    if not {int, float}.issuperset(map(type, table.values())):
         raise ValueError("a probability is not a JSON number")
     probs = dict(zip(map(int, table), map(float, table.values())))
+    if len(probs) < len(table):
+        raise ValueError("an id is reported twice, as in '7' and '07'")
     # With NaN refused while parsing, ``min`` and ``max`` see every value.
     if probs and not 0.0 <= min(probs.values()) <= max(probs.values()) < math.inf:
         raise ValueError("a probability is negative or not finite")

@@ -98,14 +98,15 @@ def test_baselines_list_rejected(tmp_path):
         (lambda r: r.update(candidates=["", "add"]), "candidates"),
         (lambda r: r.update(id=7), "id"),
         (lambda r: r.update(meta=[1]), "meta"),
-        (lambda r: r.update(meta=[]), "meta"),
-        (lambda r: r.update(meta=False), "meta"),
-        (lambda r: r.update(meta=""), "meta"),
-        (lambda r: r.update(meta=0), "meta"),
-        (lambda r: r.update(baselines=[]), "baselines"),
-        (lambda r: r.update(baselines=False), "baselines"),
-        (lambda r: r.update(baselines=""), "baselines"),
-        (lambda r: r.update(baselines=0), "baselines"),
+        # Falsy values that are not objects; only an absent or null field means empty.
+        pytest.param(lambda r: r.update(meta=[]), "meta", id="meta=[]"),
+        pytest.param(lambda r: r.update(meta=False), "meta", id="meta=false"),
+        pytest.param(lambda r: r.update(meta=""), "meta", id='meta=""'),
+        pytest.param(lambda r: r.update(meta=0), "meta", id="meta=0"),
+        pytest.param(lambda r: r.update(baselines=[]), "baselines", id="baselines=[]"),
+        pytest.param(lambda r: r.update(baselines=False), "baselines", id="baselines=false"),
+        pytest.param(lambda r: r.update(baselines=""), "baselines", id='baselines=""'),
+        pytest.param(lambda r: r.update(baselines=0), "baselines", id="baselines=0"),
         (lambda r: r.update(baselines={"x": ["a", 3]}), "baselines.x"),
     ],
 )

@@ -506,6 +506,7 @@ def test_an_error_reply_ends_the_connection_and_the_client_recovers(bad_ask, err
         b'{"probs": {"1_0": 0.5}, "argmax": 10}',
         b'{"probs": {" 1": 0.5}, "argmax": 1}',
         b'{"probs": {"1.0": 0.5}, "argmax": 1}',
+        b'{"probs": {"1": 0.5, "01": 0.5}, "argmax": 1}',
     ],
 )
 def test_a_malformed_answer_is_backend_error(hosted, body, connect):

@@ -87,19 +87,10 @@ def fixtures():
 
 
 def observed(backend, prefix, candidates, vocab, settings) -> dict:
+    """Every field of the decode's statistics, and the ranking."""
     ranked, stats = rank(backend, prefix, candidates, vocab, DecodeConfig(**settings))
-    return {
-        "ranking": [(r.candidate, r.identifier, r.scored_len, r.last_prob, r.rank) for r in ranked],
-        "traces": stats.traces,
-        "steps_taken": stats.steps_taken,
-        "splits": stats.splits,
-        "pushes": stats.pushes,
-        "early_stopped": stats.early_stopped,
-        "off_tree_exit": stats.off_tree_exit,
-        "identified": stats.identified,
-        "selected_tokens": stats.selected_tokens,
-        "committed_tokens": stats.committed_tokens,
-    }
+    ranking = [(r.candidate, r.identifier, r.scored_len, r.last_prob, r.rank) for r in ranked]
+    return {"ranking": ranking, **asdict(stats)}
 
 
 def specified(backend, prefix, candidates, vocab, settings) -> dict:
