@@ -11,11 +11,10 @@ is measured against.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 
-from .backend import ModelBackend, next_distribution
+from .backend import ModelBackend, next_distribution, top_k_answer
 from .tree import CompletionTree
 from .vocab import TokenSeq, Vocabulary, identifier_prefix
 
@@ -76,11 +75,9 @@ def beam_search(
             break
         expanded = [b for b in beams if b.finished]
         for beam in live:
-            context = list(prefix.ids) + list(beam.token_ids)
-            # A backend may answer with more than ``width`` ids; the key picks the same ones.
-            dist = next_distribution(backend, context, top_k=width)
-            top = heapq.nsmallest(width, dist.probs.items(), key=lambda kv: (-kv[1], kv[0]))
-            for token, p in top:
+            dist = next_distribution(backend, prefix.ids + beam.token_ids, top_k=width)
+            # A backend may answer with more than ``width`` ids: keep the ones a local ask keeps.
+            for token, p in top_k_answer(dist.probs, (), width)[0].items():
                 text = beam.text + vocab.texts[token]
                 finished = identifier_prefix(text) != text
                 expanded.append(
@@ -122,7 +119,7 @@ def beam_all(
     sums: dict[int, float] = {}
     # Pre-order with children in ascending token-id order fixes the backend's
     # request sequence; an explicit stack keeps deep trees off the recursion limit.
-    stack = [(tree.root, list(prefix.ids), 0.0)]
+    stack = [(tree.root, prefix.ids, 0.0)]
     while stack:
         node, context, acc = stack.pop()
         if node.is_leaf:
@@ -133,7 +130,7 @@ def beam_all(
             total = acc + _log(dist.probs[t])
             if child.terminal_for is not None:
                 sums[child.terminal_for] = total
-            stack.append((child, context + [t], total))
+            stack.append((child, context + (t,), total))
 
     scores = []
     for cand, ident in enumerate(tree.identifiers):

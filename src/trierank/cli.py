@@ -191,7 +191,7 @@ def cmd_rank(args) -> int:
             )
 
     with closing(backend):
-        result = adapter(point, backend, StrategyContext(vocab, config.eval))
+        result = adapter(point, backend, StrategyContext(vocab, config.eval, prefix))
     record = ranking_record(strategy, point.candidates, result.ranking, result.decode)
     print(json.dumps(record, indent=2, sort_keys=True))
     return EXIT_OK

@@ -2,13 +2,13 @@
 
 Every strategy is an adapter ``adapter(point, backend, ctx)`` looked up by
 name through :func:`strategy_adapter`; the CLI's ``rank`` command runs the
-same adapters. :func:`evaluate` runs each requested strategy on every point,
-locates the ground truth in the returned ranking, and aggregates MRR,
-Recall@K, exact match, token efficiency, decode statistics, and timing. A
-strategy whose backend fails (:class:`BackendUnavailable`,
-:class:`ContextTooLong`) is left out of the report with a
-``strategy <name> aborted: ...`` warning; the error propagates only when no
-strategy completed.
+same adapters. :func:`evaluate` tokenizes each point's prefix once for every
+strategy, runs each requested strategy on every point, locates the ground
+truth in the returned ranking, and aggregates MRR, Recall@K, exact match,
+token efficiency, decode statistics, and timing. A strategy whose backend
+fails (:class:`BackendUnavailable`, :class:`ContextTooLong`) is left out of
+the report with a ``strategy <name> aborted: ...`` warning; the error
+propagates only when no strategy completed.
 
 Ranking time is measured from the first backend response to the end of the
 decode; total time adds a fixed first-token constant (75 ms by default).
@@ -31,7 +31,7 @@ from .errors import BackendUnavailable, ContextTooLong, EmptyInput, TrierankErro
 from .metrics import exact_match_rate, mean_and_ci95, mrr, recall_at_k, token_efficiency
 from .ranking import DecodeConfig, DecodeStats, rank
 from .tree import build_tree
-from .vocab import Vocabulary, greedy_tokenize, identifier_prefix
+from .vocab import TokenSeq, Vocabulary, greedy_tokenize, identifier_prefix
 
 IDE_PREFIX = "ide-baseline:"
 
@@ -147,15 +147,15 @@ class EvalReport:
 
 @dataclass
 class StrategyContext:
-    """What every adapter shares across the points of one run."""
+    """What every strategy reads at one point; its prefix is tokenized once for all."""
 
     vocab: Vocabulary
     config: EvalConfig
+    prefix: TokenSeq
 
 
 def _run_treeranker(point, backend, ctx: StrategyContext) -> StrategyResult:
-    prefix = greedy_tokenize(point.prefix, ctx.vocab)
-    ranked, stats = rank(backend, prefix, point.candidates, ctx.vocab, ctx.config.decode)
+    ranked, stats = rank(backend, ctx.prefix, point.candidates, ctx.vocab, ctx.config.decode)
     if stats.identified is not None:
         emitted = point.candidates[stats.identified]
     else:
@@ -166,23 +166,20 @@ def _run_treeranker(point, backend, ctx: StrategyContext) -> StrategyResult:
 
 
 def _run_beamall(point, backend, ctx: StrategyContext) -> StrategyResult:
-    prefix = greedy_tokenize(point.prefix, ctx.vocab)
     tree = build_tree(point.candidates, ctx.vocab)
-    scores = beam_all(backend, tree, prefix, ctx.config.alpha)
+    scores = beam_all(backend, tree, ctx.prefix, ctx.config.alpha)
     ranking = [s.identifier for s in scores]
     return StrategyResult(ranking, ranking[0] if ranking else None)
 
 
 def _run_greedy(point, backend, ctx: StrategyContext) -> StrategyResult:
-    prefix = greedy_tokenize(point.prefix, ctx.vocab)
-    emitted = greedy_complete(backend, prefix, ctx.vocab, ctx.config.decode.max_steps)
+    emitted = greedy_complete(backend, ctx.prefix, ctx.vocab, ctx.config.decode.max_steps)
     return StrategyResult([emitted] if emitted else [], emitted)
 
 
 def _run_beam(width: int, filtered: bool):
     def adapter(point, backend, ctx: StrategyContext) -> StrategyResult:
-        prefix = greedy_tokenize(point.prefix, ctx.vocab)
-        beams = beam_search(backend, prefix, ctx.vocab, width, ctx.config.decode.max_steps)
+        beams = beam_search(backend, ctx.prefix, ctx.vocab, width, ctx.config.decode.max_steps)
         if filtered:
             beams = filter_to_candidates(beams, set(point.candidates))
         ranking = [b[0] for b in beams]
@@ -224,7 +221,7 @@ def strategy_adapter(name: str):
     )
 
 
-def _evaluate_point(adapter, point, gt_len: int, backend, ctx: StrategyContext) -> PointDetail:
+def _evaluate_point(adapter, backend, point, gt_len: int, ctx: StrategyContext) -> PointDetail:
     gt = point.ground_truth
 
     def one_run() -> tuple[StrategyResult, int, float]:
@@ -287,21 +284,21 @@ def evaluate(
         raise EmptyInput("dataset has no completion points")
     config = config or EvalConfig()
     adapters = {name: strategy_adapter(name) for name in strategies}
-    ctx = StrategyContext(vocab, config)
     warnings = list(getattr(dataset, "warnings", []))
     gt_lens = [len(greedy_tokenize(p.ground_truth, vocab)) for p in points]
+    contexts = [StrategyContext(vocab, config, greedy_tokenize(p.prefix, vocab)) for p in points]
 
     reports: dict[str, StrategyReport] = {}
     details: dict[str, list[PointDetail]] = {}
     error: TrierankError | None = None
     for name, adapter in adapters.items():
-        run = partial(_evaluate_point, adapter, backend=backend, ctx=ctx)
+        run = partial(_evaluate_point, adapter, backend)
         try:
             if config.jobs > 1:
                 with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-                    point_details = list(pool.map(run, points, gt_lens))
+                    point_details = list(pool.map(run, points, gt_lens, contexts))
             else:
-                point_details = list(map(run, points, gt_lens))
+                point_details = list(map(run, points, gt_lens, contexts))
         except (BackendUnavailable, ContextTooLong) as exc:
             warnings.append(f"strategy {name} aborted: {exc}")
             error = exc

@@ -68,6 +68,7 @@ import math
 import socket
 import threading
 import urllib.parse
+from functools import partial
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from .backend import Distribution, LogitMask, ModelBackend, top_k_answer
@@ -90,7 +91,8 @@ _ANSWER_DECODER = json.JSONDecoder(parse_constant=_refuse_constant)
 
 
 class RemoteBackend(ModelBackend):
-    """Client side of the protocol; safe to share between threads.
+    """Client side of the protocol; safe to share between threads. Its endpoint
+    is parsed once, here: a malformed or non-HTTP one raises :class:`BackendUnavailable`.
 
     Each ask takes an idle kept-alive connection, or opens one, and gives it
     back after a successful exchange: ``N`` threads use at most ``N``.
@@ -99,6 +101,16 @@ class RemoteBackend(ModelBackend):
     def __init__(self, endpoint: str, timeout: float = 10.0):
         self.endpoint = endpoint
         self.timeout = timeout
+        try:
+            url = urllib.parse.urlsplit(endpoint)
+            if url.scheme not in ("http", "https"):
+                raise ValueError(f"unsupported endpoint scheme {url.scheme!r}")
+        except ValueError as exc:
+            raise BackendUnavailable(f"cannot reach {endpoint}: {exc}") from None
+        secure = url.scheme == "https"
+        factory = http.client.HTTPSConnection if secure else http.client.HTTPConnection
+        self._connect = partial(factory, url.netloc, timeout=timeout)
+        self._target = urllib.parse.urlunsplit(("", "", url.path or "/", url.query, ""))
         # Idle connections; ``list.pop`` and ``list.append`` are atomic.
         self._idle: list[http.client.HTTPConnection] = []
 
@@ -140,24 +152,18 @@ class RemoteBackend(ModelBackend):
         closed a connection that already carried an exchange while it sat idle;
         such a connection is retried once, on a new one. A new connection's
         failure is final."""
-        url = urllib.parse.urlsplit(self.endpoint)
         try:
             connection = self._idle.pop()
         except IndexError:
-            if url.scheme not in ("http", "https"):
-                raise http.client.InvalidURL(f"unsupported endpoint scheme {url.scheme!r}")
-            secure = url.scheme == "https"
-            factory = http.client.HTTPSConnection if secure else http.client.HTTPConnection
-            connection = factory(url.netloc, timeout=self.timeout)
-        target = urllib.parse.urlunsplit(("", "", url.path or "/", url.query, ""))
+            connection = self._connect()
         reused = connection.sock is not None
         try:
-            exchanged = _exchange(connection, target, body)
+            exchanged = _exchange(connection, self._target, body)
         # ``RemoteDisconnected``, a read that finds the server gone, is a ``ConnectionResetError``.
         except (ConnectionResetError, BrokenPipeError):
             if not reused:
                 raise
-            exchanged = _exchange(connection, target, body)  # on a new connection
+            exchanged = _exchange(connection, self._target, body)  # on a new connection
         self._idle.append(connection)
         return exchanged
 

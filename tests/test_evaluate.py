@@ -8,10 +8,11 @@ from trierank import (
     CompletionPoint,
     ModelBackend,
     Vocabulary,
+    greedy_tokenize,
     load_dataset,
     mock_backend_from_spec,
 )
-from trierank.errors import ContextTooLong, EmptyCandidateList, EmptyInput
+from trierank.errors import ContextTooLong, EmptyCandidateList, EmptyInput, UncoverableText
 from trierank.evaluate import (
     EvalConfig,
     StrategyContext,
@@ -94,8 +95,10 @@ class TestTreeranker:
     def test_emits_the_committed_text_when_no_candidate_is_identified(self, fixture_env):
         """One step on ``add``/``addAll``/``clear`` commits ``add``, shared by two."""
         vocab, backend, dataset = fixture_env
-        ctx = StrategyContext(vocab, EvalConfig(decode=DecodeConfig(max_steps=1)))
-        result = strategy_adapter("treeranker")(dataset.points[0], backend, ctx)
+        point = dataset.points[0]
+        config = EvalConfig(decode=DecodeConfig(max_steps=1))
+        ctx = StrategyContext(vocab, config, greedy_tokenize(point.prefix, vocab))
+        result = strategy_adapter("treeranker")(point, backend, ctx)
         assert result.decode.identified is None
         assert result.emitted == "add"
 
@@ -251,6 +254,28 @@ class TestHarnessBehavior:
         monkeypatch.setattr(trierank.evaluate, "strategy_adapter", spy)
         evaluate(["treeranker", "greedy"], dataset, backend, vocab)
         assert looked_up == ["treeranker", "greedy"]
+
+    def test_each_prefix_is_tokenized_once_for_every_strategy(self, fixture_env, monkeypatch):
+        vocab, backend, dataset = fixture_env
+        prefixes = sorted(p.prefix for p in dataset.points)
+        tokenized = []
+
+        def counting(text, vocab):
+            if text in prefixes:
+                tokenized.append(text)
+            return greedy_tokenize(text, vocab)
+
+        monkeypatch.setattr(trierank.evaluate, "greedy_tokenize", counting)
+        strategies = ["treeranker", "beamall", "greedy", "beam5", "beam5f"]
+        report = evaluate(strategies, dataset, backend, vocab)
+        assert list(report.strategies) == strategies
+        assert sorted(tokenized) == prefixes
+
+    def test_uncoverable_prefix_raises_before_any_strategy_runs(self, fixture_env):
+        vocab, _, dataset = fixture_env
+        point = CompletionPoint("u", "x.\u00e9", ["add"], "add", {"intellij": ["add"]})
+        with pytest.raises(UncoverableText):
+            evaluate("ide-baseline:intellij", [*dataset.points, point], NoCalls(), vocab)
 
     @pytest.mark.parametrize(
         "bad", [{"alpha": -1.0}, {"runs": 0}, {"jobs": 0}, {"first_token_ms": -5.0}]

@@ -110,6 +110,12 @@ def test_unreachable_endpoint():
         remote.next_distribution([1])
 
 
+@pytest.mark.parametrize("endpoint", ["http://[::1", "ftp://127.0.0.1/", "127.0.0.1:9"])
+def test_an_unusable_endpoint_is_refused_when_the_backend_is_made(endpoint):
+    with pytest.raises(BackendUnavailable, match=r"^cannot reach "):
+        RemoteBackend(endpoint)
+
+
 def test_malformed_request_is_backend_error(served, connect):
     _, _, remote = served
     bad = connect(remote.endpoint)
