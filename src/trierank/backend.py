@@ -357,6 +357,8 @@ class SeededBackend(ModelBackend):
     def __init__(self, vocab_size: int, seed: int):
         if vocab_size < 1:
             raise ValueError("vocab_size must be >= 1")
+        if not -(1 << 63) <= seed < 1 << 63:
+            raise ValueError(f"seed {seed} is outside the signed 64-bit range")
         self.vocab_size = vocab_size
         self.seed = seed
         self._key = struct.pack("<q", seed)

@@ -112,10 +112,12 @@ def beam_all(
 
     Visits each internal node exactly once, reads the raw (unmasked) child
     probabilities there, and accumulates per-candidate sums; ``penalized`` is
-    ``sum / length**alpha``. Sorted descending, ties by candidate order.
+    ``sum / length**alpha``, where a penalty too large for a float counts as
+    infinite: a finite sum's score is then -0.0 and a -inf sum's stays -inf.
+    Sorted descending, ties by candidate order. ``alpha`` is finite and >= 0.
     """
-    if alpha < 0:
-        raise ValueError("alpha must be >= 0")
+    if not 0 <= alpha < math.inf:
+        raise ValueError("alpha must be a finite number >= 0")
     sums: dict[int, float] = {}
     # Pre-order with children in ascending token-id order fixes the backend's
     # request sequence; an explicit stack keeps deep trees off the recursion limit.
@@ -136,6 +138,10 @@ def beam_all(
     for cand, ident in enumerate(tree.identifiers):
         length = len(tree.token_seqs[cand])
         total = sums[cand]
-        scores.append(BeamAllScore(cand, ident, total, length, total / length**alpha))
+        try:
+            penalized = total / length**alpha
+        except OverflowError:  # from ``**`` on floats, from ``/`` on an int power
+            penalized = -0.0 if total > -math.inf else total
+        scores.append(BeamAllScore(cand, ident, total, length, penalized))
     scores.sort(key=lambda s: (-s.penalized, s.candidate))
     return scores

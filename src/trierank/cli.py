@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from contextlib import closing
 from dataclasses import dataclass
@@ -137,8 +138,11 @@ def build_backend(config: RunConfig, vocab: Vocabulary) -> ModelBackend:
     if not sep:
         raise ConfigError(f"malformed backend spec {spec!r}")
     if scheme == "mock":
-        if rest.lstrip("-").isdigit():
-            return SeededBackend(vocab.size, int(rest))
+        if re.fullmatch(r"-?[0-9]+", rest):  # ASCII only: ``str.isdigit`` takes "¹"
+            try:
+                return SeededBackend(vocab.size, int(rest))
+            except ValueError as exc:
+                raise ConfigError(f"cannot make mock backend {spec}: {exc}") from None
         try:
             return mock_backend_from_spec(rest, vocab)
         except (OSError, TrierankError) as exc:

@@ -19,6 +19,7 @@ intervals use Student's t per point, averaged across the dataset.
 from __future__ import annotations
 
 import json
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -49,14 +50,14 @@ class EvalConfig:
     jobs: int = 1
 
     def __post_init__(self):
-        if self.alpha < 0:
-            raise ValueError("alpha must be >= 0")
+        for name in ("alpha", "first_token_ms"):
+            # Refuses NaN too, and compares an int of any size exactly.
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be a finite number >= 0")
         if self.runs < 1:
             raise ValueError("runs must be >= 1")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
-        if self.first_token_ms < 0:
-            raise ValueError("first_token_ms must be >= 0")
 
 
 @dataclass

@@ -148,6 +148,14 @@ def test_seeded_backend_needs_a_token():
         SeededBackend(0, 1)
 
 
+def test_seeded_backend_takes_any_signed_64_bit_seed():
+    for seed in (-(1 << 63), (1 << 63) - 1):
+        assert next_distribution(SeededBackend(4, seed), [0]).argmax is not None
+    for seed in (-(1 << 63) - 1, 1 << 63):
+        with pytest.raises(ValueError, match="64-bit"):
+            SeededBackend(4, seed)
+
+
 def test_seeded_backend_bitwise_determinism():
     one, two = SeededBackend(16, seed=42), SeededBackend(16, seed=42)
     other = SeededBackend(16, seed=43)

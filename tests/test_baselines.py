@@ -302,6 +302,24 @@ class TestBeamAll:
         with pytest.raises(ValueError):
             beam_all(worked_backend, tree, worked_prefix, alpha=-1.0)
 
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf])
+    def test_non_finite_alpha_rejected(self, worked_backend, worked_vocab, worked_prefix, alpha):
+        tree = build_tree(["add"], worked_vocab)
+        with pytest.raises(ValueError, match="finite"):
+            beam_all(worked_backend, tree, worked_prefix, alpha=alpha)
+
+    @pytest.mark.parametrize("alpha", [1e308, 2000], ids=["float", "int"])
+    def test_an_overflowing_length_penalty_counts_as_infinite(
+        self, worked_backend, worked_vocab, worked_prefix, alpha
+    ):
+        """``retAll`` starts with a token of probability 0: its sum is -inf."""
+        tree = build_tree(["add", "addAll", "clear", "retAll"], worked_vocab)
+        scores = beam_all(worked_backend, tree, worked_prefix, alpha=alpha)
+        assert [s.identifier for s in scores] == ["addAll", "add", "clear", "retAll"]
+        penalized = [s.penalized for s in scores]
+        assert penalized == [-0.0, math.log(0.6), math.log(0.3), -math.inf]
+        assert math.copysign(1.0, penalized[0]) == -1.0
+
 
 class _AskOnlyGuard(CountingBackend):
     """Fails on any unmasked call that asks for the whole table."""

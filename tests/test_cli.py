@@ -1,4 +1,5 @@
 import json
+import math
 import string
 import sys
 from pathlib import Path
@@ -349,6 +350,7 @@ class File:
 
 
 PREFIX = f"{FIX}/prefix.txt"
+SMOKE = f"{FIX}/smoke.jsonl"
 
 
 def mock(spec) -> list:
@@ -415,6 +417,41 @@ def test_invalid_input_exits_2_with_one_error_line(capsys, tmp_path, argv):
     assert code == EXIT_CONFIG
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["eval", *BASE, "--strategy", "beamall", "--alpha", "nan", SMOKE], EXIT_CONFIG),
+        (["eval", *BASE, "--strategy", "beamall", "--alpha", "inf", SMOKE], EXIT_CONFIG),
+        (["eval", *BASE, "--first-token-ms", "nan", SMOKE], EXIT_CONFIG),
+        (["eval", *BASE, "--config", File({"alpha": math.nan}), SMOKE], EXIT_CONFIG),
+        (["rank", *BASE, "--backend", "mock:99999999999999999999", PREFIX, "add"], EXIT_CONFIG),
+        (["rank", *BASE, "--backend", "mock:\u00b9", PREFIX, "add"], EXIT_CONFIG),
+        (["rank", *BASE, "--backend", "mock:1", "--vocab", File(b""), PREFIX, "add"], EXIT_CONFIG),
+        (["rank", *BASE, "--backend", "remote:http://[::1", PREFIX, "add"], EXIT_BACKEND),
+    ],
+    ids=[
+        "alpha-nan", "alpha-inf", "first-token-ms-nan", "config-alpha-nan", "seed-out-of-range",
+        "seed-not-ascii", "empty-vocab", "remote-malformed-endpoint",
+    ],
+)
+def test_bad_settings_exit_with_one_error_line(capsys, tmp_path, argv, code):
+    argv = [a.write(tmp_path / f"arg{i}") if isinstance(a, File) else a for i, a in enumerate(argv)]
+    got, out, err = run(capsys, *argv)
+    assert got == code and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("backend error: " if code == EXIT_BACKEND else "error: ")
+
+
+def test_an_overflowing_length_penalty_is_ranked(capsys, tmp_path):
+    out_path = tmp_path / "r.json"
+    code, _, err = run(
+        capsys, "eval", *BASE, "--strategy", "beamall", "--alpha", "1e308",
+        "--out", str(out_path), SMOKE,
+    )
+    assert code == EXIT_OK and err == ""
+    assert json.loads(out_path.read_text())["config"]["alpha"] == 1e308
 
 
 def test_rank_tokenizes_the_prefix_at_most_twice(capsys, monkeypatch, tmp_path):

@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -278,7 +279,12 @@ class TestHarnessBehavior:
             evaluate("ide-baseline:intellij", [*dataset.points, point], NoCalls(), vocab)
 
     @pytest.mark.parametrize(
-        "bad", [{"alpha": -1.0}, {"runs": 0}, {"jobs": 0}, {"first_token_ms": -5.0}]
+        "bad",
+        [
+            {"alpha": -1.0}, {"runs": 0}, {"jobs": 0}, {"first_token_ms": -5.0},
+            {"alpha": math.nan}, {"alpha": math.inf}, {"first_token_ms": math.nan},
+            {"first_token_ms": math.inf},
+        ],
     )
     def test_config_rejects_invalid(self, bad):
         with pytest.raises(ValueError):
