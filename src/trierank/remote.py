@@ -100,7 +100,6 @@ class RemoteBackend(ModelBackend):
 
     def __init__(self, endpoint: str, timeout: float = 10.0):
         self.endpoint = endpoint
-        self.timeout = timeout
         try:
             url = urllib.parse.urlsplit(endpoint)
             if url.scheme not in ("http", "https"):
