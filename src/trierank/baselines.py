@@ -12,6 +12,7 @@ is measured against.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .backend import ModelBackend, next_distribution, top_k_answer
@@ -118,6 +119,10 @@ def beam_all(
     """
     if not 0 <= alpha < math.inf:
         raise ValueError("alpha must be a finite number >= 0")
+    # An int alpha, as a config file's JSON integer gives, would make the
+    # penalty an exact int power whose cost grows with alpha. Past the float
+    # range every length above 1 overflows, as it does at the float maximum.
+    alpha = float(min(alpha, sys.float_info.max))
     sums: dict[int, float] = {}
     # Pre-order with children in ascending token-id order fixes the backend's
     # request sequence; an explicit stack keeps deep trees off the recursion limit.
@@ -140,7 +145,7 @@ def beam_all(
         total = sums[cand]
         try:
             penalized = total / length**alpha
-        except OverflowError:  # from ``**`` on floats, from ``/`` on an int power
+        except OverflowError:
             penalized = -0.0 if total > -math.inf else total
         scores.append(BeamAllScore(cand, ident, total, length, penalized))
     scores.sort(key=lambda s: (-s.penalized, s.candidate))

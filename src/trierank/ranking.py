@@ -6,9 +6,11 @@ appended to the per-candidate score traces, and the decode follows the
 argmax token down the tree. Selected tokens that are strict prefixes of
 child tokens are resolved either by jumping to the unique matching child
 (main-token push) or by restructuring the tree (split). The decode stops at
-a leaf, when a single candidate remains (early stop), when the model emits
-an identifier-ending token at a terminal node, when the unmasked argmax
-leaves the tree (unconstrained mode), or at the step budget.
+a leaf; on a sole surviving candidate once its trace leads the ranking
+(early stop), so that right after a main-token push, where the survivor may
+still trail a sibling, it runs on until the survivor's next token is scored;
+when the model emits an identifier-ending token at a terminal node; when the
+unmasked argmax leaves the tree (unconstrained mode); or at the step budget.
 
 Candidates are ranked by how far their token path was scored, with the last
 recorded probability breaking ties; fully equal keys keep the original

@@ -3,9 +3,9 @@
 A :class:`Vocabulary` is an immutable table of token texts with dense ids.
 :func:`greedy_tokenize` picks the longest matching token at every position,
 which is the deterministic token sequence the decoder optimistically follows.
-It walks a prefix table, a flattened trie that maps every non-empty prefix of
-every token text to that token's id, or to -1 when the prefix is no token;
-the table is built once per vocabulary on first use.
+It walks a character trie of the token texts whose every node records the
+longest token its path starts with, so the walk from a position ends at the
+longest match; the trie is built once per vocabulary on first use.
 :func:`full_subtoken_map` lists the ids of the tokens that strictly prefix
 each token, so the decoder can admit and resolve partial-token selections.
 """
@@ -37,7 +37,7 @@ class Vocabulary:
     Token texts must be unique and non-empty.
     """
 
-    __slots__ = ("texts", "ids", "_max_len", "_termination_ids", "_subtoken_map", "_prefix_table")
+    __slots__ = ("texts", "ids", "_max_len", "_termination_ids", "_subtoken_map", "_char_trie")
 
     def __init__(self, texts: list[str]):
         seen: dict[str, int] = {}
@@ -52,7 +52,7 @@ class Vocabulary:
         self._max_len = max((len(t) for t in texts), default=0)
         self._termination_ids: frozenset[int] | None = None
         self._subtoken_map: tuple[tuple[int, ...], ...] | None = None
-        self._prefix_table: dict[str, int] | None = None
+        self._char_trie: list[dict[str, int]] | None = None
 
     @classmethod
     def from_texts(cls, texts) -> "Vocabulary":
@@ -135,23 +135,24 @@ def greedy_tokenize(text: str, vocab: Vocabulary) -> TokenSeq:
 
     Raises :class:`UncoverableText` when no token matches at some position.
     """
-    get = _prefix_table(vocab).get
+    nodes, texts, max_len = _char_trie(vocab), vocab.texts, vocab._max_len
+    root = nodes[0]
     ids: list[int] = []
     pos = 0
     n = len(text)
     while pos < n:
-        match_id = -1
-        for end in range(pos + 1, n + 1):
-            found = get(text[pos:end])
-            if found is None:
+        node = root
+        for ch in text[pos : pos + max_len]:
+            child = node.get(ch)
+            if child is None:
                 break
-            if found >= 0:
-                match_id, match_end = found, end
+            node = nodes[child]
+        match_id = node[""]
         if match_id < 0:
             raise UncoverableText(text, pos)
         ids.append(match_id)
-        pos = match_end
-    return TokenSeq(tuple(ids), tuple(vocab.texts[i] for i in ids))
+        pos += len(texts[match_id])
+    return TokenSeq(tuple(ids), tuple(map(texts.__getitem__, ids)))
 
 
 def build_subtoken_map(vocab: Vocabulary) -> tuple[tuple[int, ...], ...]:
@@ -164,24 +165,37 @@ def build_subtoken_map(vocab: Vocabulary) -> tuple[tuple[int, ...], ...]:
     return tuple(table)
 
 
-def _build_prefix_table(vocab: Vocabulary) -> dict[str, int]:
-    """Every non-empty prefix of every token text, mapped to the id of the
-    token it spells, or to -1 when it spells none."""
-    table = dict.fromkeys((t[:cut] for t in vocab.texts for cut in range(1, len(t))), -1)
-    table.update(vocab.ids)
-    return table
+def _build_char_trie(vocab: Vocabulary) -> list[dict[str, int]]:
+    """The token texts as a character trie, root first. A node maps each next
+    character to the index of its child node, and ``""`` to the id of the
+    longest token its path starts with, or to -1 when there is none. Nodes
+    hold only strings and ints, so the garbage collector does not track them."""
+    texts = vocab.texts
+    nodes = [{"": -1}]
+    # In text order a token's prefixes come first, so a new node's longest
+    # token is its parent's until the node itself spells one.
+    for token_id in sorted(range(len(texts)), key=texts.__getitem__):
+        node = nodes[0]
+        for ch in texts[token_id]:
+            child = node.get(ch)
+            if child is None:
+                child = node[ch] = len(nodes)
+                nodes.append({"": node[""]})
+            node = nodes[child]
+        node[""] = token_id
+    return nodes
 
 
 # Guards the lazy builds of the tables a vocabulary keeps.
 _LAZY_TABLE_LOCK = threading.Lock()
 
 
-def _prefix_table(vocab: Vocabulary) -> dict[str, int]:
-    if vocab._prefix_table is None:
+def _char_trie(vocab: Vocabulary) -> list[dict[str, int]]:
+    if vocab._char_trie is None:
         with _LAZY_TABLE_LOCK:
-            if vocab._prefix_table is None:
-                vocab._prefix_table = _build_prefix_table(vocab)
-    return vocab._prefix_table
+            if vocab._char_trie is None:
+                vocab._char_trie = _build_char_trie(vocab)
+    return vocab._char_trie
 
 
 def full_subtoken_map(vocab: Vocabulary) -> tuple[tuple[int, ...], ...]:
@@ -205,20 +219,22 @@ def boundary_merged(prefix: TokenSeq, candidate: str, vocab: Vocabulary) -> bool
     ``prefix`` is the greedy tokenization of the prefix text. The joined
     text keeps its token boundaries up to the first of them where a longer
     match crosses into the candidate, so only the prefix tokens starting
-    within one maximal token length of the end are read, and each only as
-    far as the prefix table reaches.
+    within one maximal token length of the end are read, and from each the
+    character trie is walked at most one maximal token length.
     """
-    get, max_len = _prefix_table(vocab).get, vocab._max_len
+    nodes, texts, max_len = _char_trie(vocab), vocab.texts, vocab._max_len
     tail = ""
     for token in reversed(prefix.texts):
         tail = token + tail
         if len(tail) >= max_len:
             break
-        joined = tail + candidate
-        for end in range(len(tail) + 1, len(joined) + 1):
-            found = get(joined[:end])
-            if found is None:
+        node = nodes[0]
+        for ch in (tail + candidate)[:max_len]:
+            child = node.get(ch)
+            if child is None:
                 break
-            if found >= 0:
-                return True
+            node = nodes[child]
+        found = node[""]
+        if found >= 0 and len(texts[found]) > len(tail):
+            return True
     return False

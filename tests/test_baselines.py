@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import random
+import sys
 
 import pytest
 
@@ -319,6 +320,25 @@ class TestBeamAll:
         penalized = [s.penalized for s in scores]
         assert penalized == [-0.0, math.log(0.6), math.log(0.3), -math.inf]
         assert math.copysign(1.0, penalized[0]) == -1.0
+
+
+    def test_an_int_alpha_scores_as_the_same_float(
+        self, worked_backend, worked_vocab, worked_prefix
+    ):
+        """A config file's JSON integer arrives as an int; its penalty must not
+        be an exact int power, whose cost grows with alpha."""
+        tree = build_tree(["add", "addAll", "clear", "retAll"], worked_vocab)
+        as_int = beam_all(worked_backend, tree, worked_prefix, alpha=10**6)
+        assert as_int == beam_all(worked_backend, tree, worked_prefix, alpha=1e6)
+
+    def test_an_int_alpha_past_the_float_range_is_accepted(
+        self, worked_backend, worked_vocab, worked_prefix
+    ):
+        # One-token candidates only: their penalty is 1 at any alpha.
+        tree = build_tree(["add", "clear"], worked_vocab)
+        scores = beam_all(worked_backend, tree, worked_prefix, alpha=2**1100)
+        assert [s.penalized for s in scores] == [math.log(0.6), math.log(0.3)]
+        assert scores == beam_all(worked_backend, tree, worked_prefix, alpha=sys.float_info.max)
 
 
 class _AskOnlyGuard(CountingBackend):

@@ -1,8 +1,9 @@
+import gc
 import sys
 import threading
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import trierank.vocab
@@ -143,17 +144,23 @@ class TestPrefixWalk:
         assert err.value.position == 1
 
 
+GAPPED_ALPHABET = "abcé"
+
+
 @st.composite
 def gapped_vocab_and_text(draw):
     """Vocabularies where some single characters are no tokens and long
     tokens have prefixes that are no tokens, and texts mostly spelled from
-    their tokens."""
-    alphabet = "abc"
+    their tokens, often longer than the longest of them."""
     tokens = sorted(
-        draw(st.sets(st.text(alphabet=alphabet, min_size=1, max_size=5), min_size=1, max_size=8))
+        draw(
+            st.sets(
+                st.text(alphabet=GAPPED_ALPHABET, min_size=1, max_size=8), min_size=1, max_size=8
+            )
+        )
     )
-    pieces = st.one_of(st.sampled_from(tokens), st.sampled_from(alphabet))
-    return Vocabulary.from_texts(tokens), "".join(draw(st.lists(pieces, max_size=8)))
+    pieces = st.one_of(st.sampled_from(tokens), st.sampled_from(GAPPED_ALPHABET))
+    return Vocabulary.from_texts(tokens), "".join(draw(st.lists(pieces, max_size=12)))
 
 
 @given(gapped_vocab_and_text())
@@ -170,9 +177,37 @@ def test_prefix_walk_matches_probing_every_length(case):
         assert greedy_tokenize(text, vocab) == expected
 
 
+def probe_straddles(prefix_text: str, candidate: str, vocab: Vocabulary) -> bool:
+    """Reference check: tokenize prefix+candidate as probe_every_length does
+    and report whether the last token that starts in the prefix ends in the
+    candidate. ``prefix_text`` must be coverable."""
+    joined, max_len, pos = prefix_text + candidate, max(map(len, vocab.texts)), 0
+    while pos < len(prefix_text):
+        pos += next(
+            length
+            for length in range(min(max_len, len(joined) - pos), 0, -1)
+            if joined[pos : pos + length] in vocab.ids
+        )
+    return pos > len(prefix_text)
+
+
+@given(gapped_vocab_and_text(), st.data())
+@settings(max_examples=300)
+def test_boundary_merged_matches_probing_the_joined_text(case, data):
+    vocab, prefix_text = case
+    try:
+        prefix = greedy_tokenize(prefix_text, vocab)
+    except UncoverableText:
+        assume(False)
+    pieces = st.one_of(st.sampled_from(vocab.texts), st.sampled_from(GAPPED_ALPHABET))
+    candidate = "".join(data.draw(st.lists(pieces, min_size=1, max_size=4)))
+    expected = probe_straddles(prefix_text, candidate, vocab)
+    assert boundary_merged(prefix, candidate, vocab) is expected
+
+
 class TestPrefixTable:
     def test_built_once_per_vocabulary_and_never_on_load(self, monkeypatch, capsys):
-        builds = count_builds(monkeypatch, "_build_prefix_table")
+        builds = count_builds(monkeypatch, "_build_char_trie")
         Vocabulary.load("fixtures/vocab.tsv")
         Vocabulary.from_texts(["a", "ab"])
         assert builds == []
@@ -182,7 +217,7 @@ class TestPrefixTable:
         assert builds[2] not in (rank_vocab, eval_vocab)
 
     def test_concurrent_first_use_builds_once(self, monkeypatch):
-        builds = count_builds(monkeypatch, "_build_prefix_table")
+        builds = count_builds(monkeypatch, "_build_char_trie")
         vocab = Vocabulary.load("fixtures/vocab.tsv")
         start = threading.Barrier(8)
         results = []
@@ -204,6 +239,12 @@ class TestPrefixTable:
         assert not any(w.is_alive() for w in workers)
         assert builds == [vocab]
         assert len(results) == 8 and len(set(results)) == 1
+
+    def test_no_node_is_tracked_by_the_garbage_collector(self):
+        for vocab in (Vocabulary.load("fixtures/vocab.tsv"), vocab_of("a", "é", "aé", "éa", "aéé")):
+            nodes = trierank.vocab._build_char_trie(vocab)
+            assert len(nodes) > vocab.size
+            assert not any(map(gc.is_tracked, nodes))
 
 
 class TestSubtokenMap:
