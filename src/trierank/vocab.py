@@ -4,10 +4,10 @@ A :class:`Vocabulary` is an immutable table of token texts with dense ids.
 :func:`greedy_tokenize` picks the longest matching token at every position,
 which is the deterministic token sequence the decoder optimistically follows.
 It walks a character trie of the token texts whose every node records the
-longest token its path starts with, so the walk from a position ends at the
-longest match; the trie is built once per vocabulary on first use.
+longest token its path starts with, so the walk ends at the longest match.
 :func:`full_subtoken_map` lists the ids of the tokens that strictly prefix
 each token, so the decoder can admit and resolve partial-token selections.
+One pass over the texts, made on first use, builds both for a vocabulary.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import string
 import threading
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import ParseError, UncoverableText
 
@@ -37,7 +38,7 @@ class Vocabulary:
     Token texts must be unique and non-empty.
     """
 
-    __slots__ = ("texts", "ids", "_max_len", "_termination_ids", "_subtoken_map", "_char_trie")
+    __slots__ = ("texts", "ids", "_tables")
 
     def __init__(self, texts: list[str]):
         seen: dict[str, int] = {}
@@ -49,10 +50,7 @@ class Vocabulary:
             seen[text] = i
         self.texts: tuple[str, ...] = tuple(texts)
         self.ids: dict[str, int] = seen
-        self._max_len = max((len(t) for t in texts), default=0)
-        self._termination_ids: frozenset[int] | None = None
-        self._subtoken_map: tuple[tuple[int, ...], ...] | None = None
-        self._char_trie: list[dict[str, int]] | None = None
+        self._tables: _Tables | None = None
 
     @classmethod
     def from_texts(cls, texts) -> "Vocabulary":
@@ -67,11 +65,7 @@ class Vocabulary:
 
     def termination_ids(self) -> frozenset[int]:
         """Ids of tokens that can end an identifier (first char not [A-Za-z0-9_])."""
-        if self._termination_ids is None:
-            self._termination_ids = frozenset(
-                i for i, t in enumerate(self.texts) if t[0] not in IDENTIFIER_CHARS
-            )
-        return self._termination_ids
+        return _tables(self).termination
 
     # File format: one record per line, `<id>\t<escaped text>`, UTF-8.
     # Escapes: backslash, tab and newline only.
@@ -135,7 +129,7 @@ def greedy_tokenize(text: str, vocab: Vocabulary) -> TokenSeq:
 
     Raises :class:`UncoverableText` when no token matches at some position.
     """
-    nodes, texts, max_len = _char_trie(vocab), vocab.texts, vocab._max_len
+    (nodes, _, _, max_len), texts = _tables(vocab), vocab.texts
     root = nodes[0]
     ids: list[int] = []
     pos = 0
@@ -155,57 +149,61 @@ def greedy_tokenize(text: str, vocab: Vocabulary) -> TokenSeq:
     return TokenSeq(tuple(ids), tuple(map(texts.__getitem__, ids)))
 
 
-def build_subtoken_map(vocab: Vocabulary) -> tuple[tuple[int, ...], ...]:
-    """Per token id, the ids of the tokens that strictly prefix its text, shortest first."""
-    lookup = vocab.ids
-    table = []
-    for text in vocab.texts:
-        subs = (lookup.get(text[:cut]) for cut in range(1, len(text)))
-        table.append(tuple(s for s in subs if s is not None))
-    return tuple(table)
+class _Tables(NamedTuple):
+    # A character trie, root first: a node maps each next character to its
+    # child's index and "" to the id of the longest token its path starts with
+    # (-1 for none). Nodes hold only strings and ints, so the GC tracks none.
+    trie: list[dict[str, int]]
+    subtoken_map: tuple[tuple[int, ...], ...]  # see build_subtoken_map
+    termination: frozenset[int]  # see Vocabulary.termination_ids
+    max_len: int  # the longest token length
 
 
-def _build_char_trie(vocab: Vocabulary) -> list[dict[str, int]]:
-    """The token texts as a character trie, root first. A node maps each next
-    character to the index of its child node, and ``""`` to the id of the
-    longest token its path starts with, or to -1 when there is none. Nodes
-    hold only strings and ints, so the garbage collector does not track them."""
+def _build_tables(vocab: Vocabulary) -> _Tables:
     texts = vocab.texts
     nodes = [{"": -1}]
+    subtoken_map: list[tuple[int, ...]] = [()] * len(texts)
+    termination = []
     # In text order a token's prefixes come first, so a new node's longest
-    # token is its parent's until the node itself spells one.
+    # token is its parent's until the node itself spells one, and a node on
+    # a walk spells a strict prefix exactly when its token is not its parent's.
     for token_id in sorted(range(len(texts)), key=texts.__getitem__):
-        node = nodes[0]
-        for ch in texts[token_id]:
+        node, subs, text = nodes[0], [], texts[token_id]
+        for ch in text:
             child = node.get(ch)
             if child is None:
                 child = node[ch] = len(nodes)
                 nodes.append({"": node[""]})
+            elif nodes[child][""] != node[""]:
+                subs.append(nodes[child][""])
             node = nodes[child]
         node[""] = token_id
-    return nodes
+        subtoken_map[token_id] = tuple(subs)
+        if text[0] not in IDENTIFIER_CHARS:
+            termination.append(token_id)
+    max_len = max(map(len, texts), default=0)
+    return _Tables(nodes, tuple(subtoken_map), frozenset(termination), max_len)
 
 
-# Guards the lazy builds of the tables a vocabulary keeps.
+# Guards the lazy build of the tables a vocabulary keeps.
 _LAZY_TABLE_LOCK = threading.Lock()
 
 
-def _char_trie(vocab: Vocabulary) -> list[dict[str, int]]:
-    if vocab._char_trie is None:
+def _tables(vocab: Vocabulary) -> _Tables:
+    if vocab._tables is None:
         with _LAZY_TABLE_LOCK:
-            if vocab._char_trie is None:
-                vocab._char_trie = _build_char_trie(vocab)
-    return vocab._char_trie
+            if vocab._tables is None:
+                vocab._tables = _build_tables(vocab)
+    return vocab._tables
 
 
-def full_subtoken_map(vocab: Vocabulary) -> tuple[tuple[int, ...], ...]:
-    """:func:`build_subtoken_map` of ``vocab``, built once on first use and
-    kept on the vocabulary; safe to share across concurrent rankings."""
-    if vocab._subtoken_map is None:
-        with _LAZY_TABLE_LOCK:
-            if vocab._subtoken_map is None:
-                vocab._subtoken_map = build_subtoken_map(vocab)
-    return vocab._subtoken_map
+def build_subtoken_map(vocab: Vocabulary) -> tuple[tuple[int, ...], ...]:
+    """Per token id, the ids of the tokens that strictly prefix its text, shortest first."""
+    return _tables(vocab).subtoken_map
+
+
+# bench/ calls this name; bench/spans.py times the other, as tests/test_bench_spans.py expects.
+full_subtoken_map = build_subtoken_map
 
 
 def boundary_merged(prefix: TokenSeq, candidate: str, vocab: Vocabulary) -> bool:
@@ -222,7 +220,7 @@ def boundary_merged(prefix: TokenSeq, candidate: str, vocab: Vocabulary) -> bool
     within one maximal token length of the end are read, and from each the
     character trie is walked at most one maximal token length.
     """
-    nodes, texts, max_len = _char_trie(vocab), vocab.texts, vocab._max_len
+    (nodes, _, _, max_len), texts = _tables(vocab), vocab.texts
     tail = ""
     for token in reversed(prefix.texts):
         tail = token + tail

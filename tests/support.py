@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import functools
+import importlib.util
 import random
+import sys
 from pathlib import Path
 
 from trierank import SeededBackend, Vocabulary, build_tree, greedy_tokenize
 from trierank.backend import ModelBackend
 from trierank.tree import CompletionTree
 
+BENCH_INPUTS = Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
 LETTERS = "abcdef"
 PUNCT = [".", "(", "\n"]
 
@@ -39,6 +43,18 @@ def dump_tree(tree: CompletionTree) -> str:
         lines.append(f"{'  ' * depth}{label} members={{{members}}}{terminal}")
         stack.extend((node.children[t], t, depth + 1) for t in sorted(node.children, reverse=True))
     return "\n".join(lines)
+
+
+@functools.cache
+def bench_inputs():
+    """The benchmark's seeded input generator, ``bench/inputs.py``, loaded by
+    file path: its ``write_inputs(workload, seed, directory)`` writes the
+    ``vocab.tsv`` and ``points.jsonl`` a benchmark run reads."""
+    spec = importlib.util.spec_from_file_location("bench_inputs", BENCH_INPUTS)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up by name
+    spec.loader.exec_module(module)
+    return module
 
 
 def save_vocab(vocab: Vocabulary, path) -> None:

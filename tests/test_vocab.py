@@ -19,9 +19,9 @@ from trierank import (
 from trierank.cli import main
 from trierank.evaluate import EvalConfig, evaluate
 from trierank.errors import ParseError, UncoverableText
-from trierank.vocab import boundary_merged, identifier_prefix
+from trierank.vocab import IDENTIFIER_CHARS, boundary_merged, identifier_prefix
 
-from support import save_vocab
+from support import bench_inputs, save_vocab
 
 
 def vocab_of(*texts):
@@ -207,7 +207,7 @@ def test_boundary_merged_matches_probing_the_joined_text(case, data):
 
 class TestPrefixTable:
     def test_built_once_per_vocabulary_and_never_on_load(self, monkeypatch, capsys):
-        builds = count_builds(monkeypatch, "_build_char_trie")
+        builds = count_builds(monkeypatch, "_build_tables")
         Vocabulary.load("fixtures/vocab.tsv")
         Vocabulary.from_texts(["a", "ab"])
         assert builds == []
@@ -217,7 +217,7 @@ class TestPrefixTable:
         assert builds[2] not in (rank_vocab, eval_vocab)
 
     def test_concurrent_first_use_builds_once(self, monkeypatch):
-        builds = count_builds(monkeypatch, "_build_char_trie")
+        builds = count_builds(monkeypatch, "_build_tables")
         vocab = Vocabulary.load("fixtures/vocab.tsv")
         start = threading.Barrier(8)
         results = []
@@ -242,9 +242,62 @@ class TestPrefixTable:
 
     def test_no_node_is_tracked_by_the_garbage_collector(self):
         for vocab in (Vocabulary.load("fixtures/vocab.tsv"), vocab_of("a", "é", "aé", "éa", "aéé")):
-            nodes = trierank.vocab._build_char_trie(vocab)
+            nodes = trierank.vocab._build_tables(vocab).trie
             assert len(nodes) > vocab.size
             assert not any(map(gc.is_tracked, nodes))
+
+
+SMALL_TEXTS = st.lists(st.text(alphabet="ab", min_size=1, max_size=4), min_size=1, max_size=12)
+
+
+def slice_lookup_subtoken_map(vocab: Vocabulary) -> tuple[tuple[int, ...], ...]:
+    """Reference subtoken map, as it was built before the character trie
+    gave it: every strict prefix of every text looked up, shortest first."""
+    lookup = vocab.ids
+    table = []
+    for text in vocab.texts:
+        subs = (lookup.get(text[:cut]) for cut in range(1, len(text)))
+        table.append(tuple(s for s in subs if s is not None))
+    return tuple(table)
+
+
+def assert_tables_match_their_definitions(vocab: Vocabulary) -> None:
+    assert full_subtoken_map(vocab) == slice_lookup_subtoken_map(vocab)
+    assert vocab.termination_ids() == frozenset(
+        i for i, t in enumerate(vocab.texts) if t[0] not in IDENTIFIER_CHARS
+    )
+    assert trierank.vocab._tables(vocab).max_len == max(map(len, vocab.texts), default=0)
+
+
+class TestTables:
+    def test_fixture_and_edge_vocabularies(self):
+        for vocab in (
+            Vocabulary.load("fixtures/vocab.tsv"),
+            vocab_of("a", "é", "aé", "éa", "aéé", "aééb", "(", "(é"),
+            vocab_of(),
+        ):
+            assert_tables_match_their_definitions(vocab)
+
+    @given(SMALL_TEXTS)
+    def test_symmetry_brute_force_vocabularies(self, texts):
+        assert_tables_match_their_definitions(Vocabulary.from_texts(sorted(set(texts))))
+
+    @given(gapped_vocab_and_text())
+    def test_gapped_vocabularies(self, case):
+        assert_tables_match_their_definitions(case[0])
+
+    @pytest.mark.parametrize("workload", ["rank-32k", "eval-2k", "remote-2k"])
+    def test_benchmark_vocabularies(self, workload, tmp_path):
+        vocab_path, _ = bench_inputs().write_inputs(workload, 1, tmp_path)
+        assert_tables_match_their_definitions(Vocabulary.load(vocab_path))
+
+    def test_one_record_per_vocabulary(self):
+        vocab = Vocabulary.load("fixtures/vocab.tsv")
+        tables = trierank.vocab._tables(vocab)
+        assert full_subtoken_map is trierank.vocab.build_subtoken_map
+        assert full_subtoken_map(vocab) is tables.subtoken_map
+        assert vocab.termination_ids() is tables.termination
+        assert trierank.vocab._tables(vocab) is tables
 
 
 class TestSubtokenMap:
@@ -257,13 +310,13 @@ class TestSubtokenMap:
         assert full_subtoken_map(v)[v.id("Empty")] == ()
 
     def test_built_once_per_vocabulary(self, monkeypatch, capsys):
-        builds = count_builds(monkeypatch, "build_subtoken_map")
+        builds = count_builds(monkeypatch, "_build_tables")
         rank_vocab, eval_vocab = run_every_caller(capsys)
         assert len(builds) == 3
         assert builds[0] is rank_vocab and builds[1] is eval_vocab
         assert builds[2] not in (rank_vocab, eval_vocab)
 
-    @given(st.lists(st.text(alphabet="ab", min_size=1, max_size=4), min_size=1, max_size=12))
+    @given(SMALL_TEXTS)
     def test_symmetry_brute_force(self, texts):
         vocab = Vocabulary.from_texts(sorted(set(texts)))
         m = full_subtoken_map(vocab)
