@@ -274,6 +274,8 @@ class MockBackend(ModelBackend):
             if key in self.contexts:
                 raise MalformedSpec(f"duplicate suffix {key}")
             self.contexts[key] = _check_table(dict(table), f"suffix {key}")
+        if max_context is not None and (type(max_context) is not int or max_context < 1):
+            raise MalformedSpec(f"max_context must be a positive integer, not {max_context!r}")
         self.max_context = max_context
 
     def raw_distribution(self, context: Sequence[int]) -> dict[int, float]:
@@ -290,8 +292,8 @@ def _check_table(table: dict[int, float], where: str) -> dict[int, float]:
     if not table:
         raise MalformedSpec(f"{where}: empty probability table")
     for token, p in table.items():
-        if p < 0:
-            raise MalformedSpec(f"{where}: negative probability {p} for token {token}")
+        if not 0 <= p < math.inf:
+            raise MalformedSpec(f"{where}: probability {p} for token {token} is not in [0, inf)")
     return table
 
 
@@ -307,7 +309,7 @@ def mock_backend_from_spec(spec, vocab: Vocabulary | None = None) -> MockBackend
     if isinstance(spec, (str, Path)):
         try:
             spec = json.loads(Path(spec).read_text(encoding="utf-8"))
-        except ValueError as exc:  # undecodable bytes or invalid JSON
+        except (RecursionError, ValueError) as exc:  # undecodable, invalid or too deep
             raise MalformedSpec(f"not a JSON spec: {exc}") from None
     if not isinstance(spec, dict):
         raise MalformedSpec("spec must be a mapping or a path to one")
@@ -326,16 +328,17 @@ def mock_backend_from_spec(spec, vocab: Vocabulary | None = None) -> MockBackend
     def to_table(raw) -> dict[int, float]:
         if not isinstance(raw, Mapping):
             raise MalformedSpec(f"expected a probability table, got {type(raw).__name__}")
+        # ``float()`` would take true and "0.5".
+        if not {int, float}.issuperset(map(type, raw.values())):
+            raise MalformedSpec(f"non-numeric probability in {dict(raw)!r}")
         try:
             return {to_id(t): float(p) for t, p in raw.items()}
-        except (TypeError, ValueError):
-            raise MalformedSpec(f"non-numeric probability in {dict(raw)!r}") from None
+        except OverflowError:
+            raise MalformedSpec(f"probability out of range in {dict(raw)!r}") from None
 
     entries, max_context = spec.get("contexts", []), spec.get("max_context")
     if not isinstance(entries, list):
         raise MalformedSpec("spec contexts must be a list")
-    if max_context is not None and not isinstance(max_context, int):
-        raise MalformedSpec(f"max_context must be an integer, not {max_context!r}")
     contexts: dict[tuple[int, ...], dict[int, float]] = {}
     for entry in entries:
         if not isinstance(entry, Mapping) or not isinstance(entry.get("suffix"), list):

@@ -82,7 +82,7 @@ def resolve_config(args) -> RunConfig:
     if args.config:
         try:
             raw = json.loads(read_text(args.config, "config file"))
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ConfigError(f"cannot read config file {args.config}: {exc}") from None
         if not isinstance(raw, dict):
             raise ConfigError(f"config file {args.config} must hold a JSON object")
@@ -244,7 +244,7 @@ def cmd_compare(args) -> int:
     def load(path) -> dict:
         try:
             report = json.loads(read_text(path, "report"))
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ConfigError(f"cannot read report {path}: {exc}") from None
         rows = report.get("strategies", {}) if isinstance(report, dict) else None
         if not isinstance(rows, dict) or not all(isinstance(r, dict) for r in rows.values()):

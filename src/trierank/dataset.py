@@ -115,10 +115,11 @@ def load_dataset(path, strict: bool = False) -> LoadedDataset:
             continue
         try:
             record = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             if strict:
                 raise ParseError(lineno, str(exc)) from None
-            warnings.append(f"line {lineno}: unparseable ({exc.msg})")
+            reason = exc.msg if isinstance(exc, json.JSONDecodeError) else "nested too deeply"
+            warnings.append(f"line {lineno}: unparseable ({reason})")
             continue
         try:
             point, notes = point_from_record(record)

@@ -125,7 +125,9 @@ class RemoteBackend(ModelBackend):
         data = self._request(payload)
         try:
             return _read_answer(data, allowed, query or (), top_k)
-        except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+        except (
+            AttributeError, KeyError, OverflowError, RecursionError, TypeError, ValueError
+        ) as exc:
             raise BackendUnavailable(f"malformed response from {self.endpoint}: {exc}") from None
 
     def close(self) -> None:
@@ -168,12 +170,12 @@ class RemoteBackend(ModelBackend):
 
 
 def _read_answer(data: bytes, mask: LogitMask | None, query, top_k: int | None) -> Distribution:
-    """The distribution a 200 answer holds. Raises ``ValueError`` (or a lookup or
-    type error) unless every key is a distinct decimal id and every value a
-    finite, non-negative number, and the answer reports what the ask reads: a
-    non-null ``argmax`` among the ids, inside ``mask`` for a masked ask, and
-    every explicit mask id and ``query`` id. Only an unmasked ``top_k=0`` ask
-    may get a null ``argmax``."""
+    """The distribution a 200 answer holds. Raises ``ValueError`` (or a lookup,
+    type or recursion error) unless every key is a distinct decimal id and
+    every value a finite, non-negative number, and the answer reports what the
+    ask reads: a non-null ``argmax`` among the ids, inside ``mask`` for a
+    masked ask, and every explicit mask id and ``query`` id. Only an unmasked
+    ``top_k=0`` ask may get a null ``argmax``."""
     body = _ANSWER_DECODER.decode(data.decode("utf-8"))
     table, argmax = body["probs"], body["argmax"]
     # Each check runs in C over the whole answer. ``int()`` alone would take

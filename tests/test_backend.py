@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import pytest
@@ -121,10 +122,27 @@ class TestSpecParsing:
             lambda: mock_backend_from_spec([{"default": {0: 1.0}}]),
             lambda: mock_backend_from_spec({"default": {"a": 1.0}}),
             lambda: mock_backend_from_spec({"default": [1.0]}),
+            lambda: mock_backend_from_spec({"default": {0: math.nan}}),
+            lambda: mock_backend_from_spec(
+                {"default": {0: 1.0}, "contexts": [{"suffix": [1], "probs": {0: math.inf}}]}
+            ),
+            lambda: mock_backend_from_spec({"default": {0: True}}),
+            lambda: mock_backend_from_spec({"default": {0: "0.5"}}),
+            lambda: mock_backend_from_spec({"default": {0: 10**400}}),
+            lambda: mock_backend_from_spec({"default": {0: 1.0}, "max_context": True}),
+            lambda: mock_backend_from_spec({"default": {0: 1.0}, "max_context": 0}),
+            lambda: mock_backend_from_spec({"default": {0: 1.0}, "max_context": -3}),
+            lambda: mock_backend_from_spec({"default": {0: 1.0}, "max_context": 2.0}),
+            lambda: MockBackend(default={0: math.nan}),
+            lambda: MockBackend(default={0: 1.0}, max_context=0),
         ],
         ids=[
             "duplicate-suffix", "empty-table", "duplicate-spec-suffix", "spec-not-a-mapping",
-            "token-text-without-vocabulary", "table-not-a-mapping",
+            "token-text-without-vocabulary", "table-not-a-mapping", "nan-probability",
+            "infinite-probability", "bool-probability", "string-probability",
+            "probability-past-the-float-range", "bool-max-context", "zero-max-context",
+            "negative-max-context", "float-max-context", "backend-nan-probability",
+            "backend-zero-max-context",
         ],
     )
     def test_malformed_spec_rejected(self, build):

@@ -351,6 +351,7 @@ class File:
 
 PREFIX = f"{FIX}/prefix.txt"
 SMOKE = f"{FIX}/smoke.jsonl"
+DEEP = b"[" * 100_000 + b"]" * 100_000  # JSON that json.loads cannot recurse through
 
 
 def mock(spec) -> list:
@@ -398,6 +399,10 @@ def mock(spec) -> list:
         ["rank", *BASE, "--backend", "ftp:x", PREFIX, "add"],
         ["rank", *BASE, "--strategy", "greedy", "--strategy", "beam5", PREFIX, "add"],
         ["compare", File(b"{"), File(b"{")],
+        ["rank", *BASE, *mock(DEEP), PREFIX, "add"],
+        ["rank", *BASE, *mock(b'{"default": {"add": NaN}}'), PREFIX, "add"],
+        ["eval", *BASE, "--config", File(DEEP), f"{FIX}/smoke.jsonl"],
+        ["compare", File(DEEP), File(DEEP)],
     ],
     ids=[
         "max-steps-0", "empty-candidate", "empty-candidate-greedy", "negative-alpha", "jobs-0", "prefix-file", "candidates-file", "dataset",
@@ -409,6 +414,8 @@ def mock(spec) -> list:
         "report-strategies-is-a-list", "config-invalid-json", "config-not-an-object",
         "config-no-strategies", "no-vocab", "no-backend", "backend-without-scheme",
         "backend-unknown-scheme", "rank-two-strategies", "report-invalid-json",
+        "spec-nested-too-deeply", "spec-nan-probability", "config-nested-too-deeply",
+        "report-nested-too-deeply",
     ],
 )
 def test_invalid_input_exits_2_with_one_error_line(capsys, tmp_path, argv):

@@ -53,6 +53,15 @@ def test_malformed_line_warns_with_line_number(tmp_path):
     assert any(w.startswith("line 2:") for w in loaded.warnings)
 
 
+def test_a_deeply_nested_line_is_unparseable(tmp_path):
+    path = write_jsonl(tmp_path, [point(), "[" * 100_000 + "]" * 100_000])
+    loaded = load_dataset(path)
+    assert len(loaded) == 1
+    assert loaded.warnings == ["line 2: unparseable (nested too deeply)"]
+    with pytest.raises(ParseError):
+        load_dataset(path, strict=True)
+
+
 def test_strict_mode_raises(tmp_path):
     path = write_jsonl(tmp_path, ["{not json"])
     with pytest.raises(ParseError):

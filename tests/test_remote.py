@@ -513,6 +513,7 @@ def test_an_error_reply_ends_the_connection_and_the_client_recovers(bad_ask, err
         b'{"probs": {" 1": 0.5}, "argmax": 1}',
         b'{"probs": {"1.0": 0.5}, "argmax": 1}',
         b'{"probs": {"1": 0.5, "01": 0.5}, "argmax": 1}',
+        pytest.param(b"[" * 100_000 + b"]" * 100_000, id="nested-too-deeply"),
     ],
 )
 def test_a_malformed_answer_is_backend_error(hosted, body, connect):
