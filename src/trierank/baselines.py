@@ -141,7 +141,7 @@ def beam_all(
 
     scores = []
     for cand, ident in enumerate(tree.identifiers):
-        length = len(tree.token_seqs[cand])
+        length = len(tree.token_paths[cand])
         total = sums[cand]
         try:
             penalized = total / length**alpha

@@ -3,14 +3,17 @@
 One ranking request performs a single greedy decode: at each step the model
 is queried once, the probabilities of every valid child continuation are
 appended to the per-candidate score traces, and the decode follows the
-argmax token down the tree. Selected tokens that are strict prefixes of
-child tokens are resolved either by jumping to the unique matching child
-(main-token push) or by restructuring the tree (split). The decode stops at
-a leaf; on a sole surviving candidate once its trace leads the ranking
-(early stop), so that right after a main-token push, where the survivor may
-still trail a sibling, it runs on until the survivor's next token is scored;
-when the model emits an identifier-ending token at a terminal node; when the
-unmasked argmax leaves the tree (unconstrained mode); or at the step budget.
+argmax token down the tree. The tree places a node's candidates into its
+children when the decode first reaches the node, so only the candidates of
+visited nodes are tokenized, and only as far as the decode goes. Selected
+tokens that are strict prefixes of child tokens are resolved either by
+jumping to the unique matching child (main-token push) or by restructuring
+the tree (split). The decode stops at a leaf; on a sole surviving candidate
+once its trace leads the ranking (early stop), so that right after a
+main-token push, where the survivor may still trail a sibling, it runs on
+until the survivor's next token is scored; when the model emits an
+identifier-ending token at a terminal node; when the unmasked argmax leaves
+the tree (unconstrained mode); or at the step budget.
 
 Candidates are ranked by how far their token path was scored, with the last
 recorded probability breaking ties; fully equal keys keep the original
@@ -23,7 +26,7 @@ from dataclasses import dataclass, field
 
 from .backend import LogitMask, ModelBackend, next_distribution
 from .errors import MissingChildProbability, NotASharedPrefix
-from .tree import TreeNode, build_tree
+from .tree import CompletionTree, TreeNode
 from .vocab import TokenSeq, Vocabulary, full_subtoken_map
 
 
@@ -101,10 +104,11 @@ def rank(
 ) -> tuple[list[RankedCompletion], DecodeStats]:
     """Rank ``candidates`` for ``prefix`` with one greedy decode; ``submap``
     defaults to the vocabulary's shared :func:`full_subtoken_map`. The tree
-    checks the candidate list; an empty prefix fails at the first query."""
+    checks the candidate list, and is expanded node by node as the decode
+    reaches it; an empty prefix fails at the first query."""
     config = config or DecodeConfig()
     submap = full_subtoken_map(vocab) if submap is None else submap
-    tree = build_tree(candidates, vocab)
+    tree = CompletionTree(candidates, vocab)
     traces: list[list[float]] = [[] for _ in candidates]
     stats = DecodeStats()
     node = tree.root
@@ -119,6 +123,7 @@ def rank(
                 stats.identified = sole
                 stats.early_stopped = True
                 break
+        tree.expand(node)
         if node.is_leaf:
             stats.identified = node.terminal_for
             break

@@ -1,28 +1,44 @@
 """Prefix trie over tokenized completion candidates.
 
 Every candidate identifier contributes one root-to-terminal path whose edge
-tokens come from greedy tokenization. The tree is mutable during a single
+tokens come from greedy tokenization. A node records how many characters its
+path spells, so it places its members into its children by greedy matching
+from that offset. A node does this when it is first used, so a decode
+tokenizes only the members of the nodes it visits; :func:`build_tree`
+expands every node as it is created. The tree is mutable during a single
 decode: when the model selects a token that is a shared strict prefix of
 several child tokens, the affected branches are restructured under a new
-intermediate node and the remaining suffixes are re-tokenized.
+intermediate node and their members are placed again past the selected token.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterable, Iterator
 
-from .errors import DuplicateCandidate, EmptyCandidateList, EmptyInput, NotASharedPrefix
-from .vocab import TokenSeq, Vocabulary, greedy_tokenize
+from .errors import (
+    DuplicateCandidate,
+    EmptyCandidateList,
+    EmptyInput,
+    NotASharedPrefix,
+    UncoverableText,
+)
+from .vocab import TokenSeq, Vocabulary, _tables
 
 
 @dataclass
 class TreeNode:
-    """A trie node; the token of the edge into it is its key in its parent's ``children``."""
+    """A trie node; the token of the edge into it is its key in its parent's ``children``.
+
+    ``offset`` is the number of characters its path spells. Until a node is
+    ``expanded``, its members are not yet placed into its children.
+    """
 
     children: dict[int, "TreeNode"] = field(default_factory=dict)
     members: set[int] = field(default_factory=set)
     terminal_for: int | None = None
+    offset: int = 0
+    expanded: bool = True
 
     @property
     def is_leaf(self) -> bool:
@@ -32,7 +48,14 @@ class TreeNode:
 class CompletionTree:
     """Trie of the greedy token sequences of a candidate list.
 
-    ``token_seqs`` tracks each candidate's *current* tokenization, which may
+    A node places its members into its children when :meth:`expand` is first
+    called on it, which ``rank()`` does as its decode reaches the node. No
+    placement can fail when every character of every candidate is a
+    one-character token; otherwise the constructor builds the whole tree, as
+    :func:`build_tree` always does, so that an uncoverable candidate fails
+    before the decode starts.
+
+    ``token_paths`` holds each candidate's tokens placed so far, which may
     change when branches are split and suffixes re-tokenized; ``identifiers``
     never changes.
     """
@@ -49,29 +72,74 @@ class CompletionTree:
             seen.add(ident)
         self.identifiers: list[str] = list(identifiers)
         self.vocab = vocab
-        self.token_seqs: list[TokenSeq] = [greedy_tokenize(c, vocab) for c in identifiers]
-        self.root = TreeNode()
-        for idx, seq in enumerate(self.token_seqs):
-            self._insert(idx, seq.ids)
+        self.token_paths: list[list[int]] = [[] for _ in identifiers]
+        self.root = TreeNode(members=set(range(len(identifiers))), expanded=False)
+        self._whole = False
+        if not _tables(vocab).singles.issuperset("".join(identifiers)):
+            self._build_whole()
 
-    def _insert(self, candidate: int, tokens: tuple[int, ...], base: TreeNode | None = None) -> None:
-        node = self.root if base is None else base
-        node.members.add(candidate)
-        for t in tokens:
-            if t not in node.children:
-                node.children[t] = TreeNode()
-            node = node.children[t]
-            node.members.add(candidate)
-        assert node.terminal_for is None, "distinct identifiers cannot share a token path"
-        node.terminal_for = candidate
+    @property
+    def token_seqs(self) -> list[TokenSeq]:
+        """Each candidate's current tokenization; complete on a tree from :func:`build_tree`."""
+        texts = self.vocab.texts
+        return [TokenSeq(tuple(p), tuple(map(texts.__getitem__, p))) for p in self.token_paths]
+
+    def expand(self, node: TreeNode) -> None:
+        """Place the members of ``node`` into its children, once."""
+        if not node.expanded:
+            node.expanded = True
+            self._place(node, sorted(node.members))
+
+    def _build_whole(self) -> None:
+        # Nodes created from now on are expanded as they are created, so each
+        # candidate in turn is placed down to its terminal node.
+        self._whole = True
+        self.expand(self.root)
+
+    def _place(self, node: TreeNode, candidates: Iterable[int], base: int = 0) -> None:
+        """Place each of ``candidates``, members of the expanded ``node``, into
+        a child, and on down through the children already expanded. An
+        uncoverable rest raises :class:`UncoverableText` on the text from
+        offset ``base``."""
+        (trie, _, _, max_len, _), texts = _tables(self.vocab), self.vocab.texts
+        top = trie[0]
+        whole = self._whole
+        for cand in candidates:
+            ident, path, at = self.identifiers[cand], self.token_paths[cand], node
+            while at.expanded:
+                pos = at.offset
+                if pos == len(ident):
+                    assert at.terminal_for is None, (
+                        "distinct identifiers cannot share a token path"
+                    )
+                    at.terminal_for = cand
+                    break
+                # greedy_tokenize's walk: the trie node reached holds the longest match.
+                trie_node = top
+                for ch in ident[pos : pos + max_len]:
+                    child = trie_node.get(ch)
+                    if child is None:
+                        break
+                    trie_node = trie[child]
+                token = trie_node[""]
+                if token < 0:
+                    raise UncoverableText(ident[base:], pos - base)
+                path.append(token)
+                below = at.children.get(token)
+                if below is None:
+                    below = at.children[token] = TreeNode(
+                        offset=pos + len(texts[token]), expanded=whole
+                    )
+                below.members.add(cand)
+                at = below
 
     def split_on_subtoken(self, node: TreeNode, subtoken: int) -> TreeNode:
         """Insert ``subtoken`` as an intermediate child of ``node``.
 
         Every child whose edge text strictly extends the subtoken's text is
-        removed; its candidates are re-tokenized past the subtoken and
-        re-inserted below the new node. The set of identifier strings spelled
-        by the tree is unchanged.
+        removed; its candidates move below the new node and are placed again
+        past the subtoken. The set of identifier strings spelled by the tree
+        is unchanged.
         """
         sub_text = self.vocab.texts[subtoken]
         affected_edges = [
@@ -84,32 +152,32 @@ class CompletionTree:
                 f"token {sub_text!r} prefixes {len(affected_edges)} children, need >= 2"
             )
 
-        # The root path to ``node`` is a prefix of each member's current
-        # tokenization, so walking one member's costs O(depth).
-        ids = self.token_seqs[next(iter(node.members))].ids
+        # The root path to ``node`` is a prefix of each member's token path,
+        # so walking one member's costs O(depth).
+        path = self.token_paths[next(iter(node.members))]
         at, depth = self.root, 0
         while at is not node:
-            if at is None or depth == len(ids):
+            if at is None or depth == len(path):
                 raise ValueError("node does not belong to this tree")
-            at = at.children.get(ids[depth])
+            at = at.children.get(path[depth])
             depth += 1
-        base_tokens = ids[:depth]
-        consumed = "".join(self.vocab.texts[t] for t in base_tokens)
         moved: list[int] = []
         for t in affected_edges:
             moved.extend(node.children.pop(t).members)
 
         target = node.children.get(subtoken)
         if target is None:
-            target = node.children[subtoken] = TreeNode()
-
-        for cand in sorted(moved):
-            suffix = self.identifiers[cand][len(consumed) + len(sub_text) :]
-            tail = greedy_tokenize(suffix, self.vocab)
-            new_ids = base_tokens + (subtoken,) + tail.ids
-            new_texts = tuple(self.vocab.texts[i] for i in new_ids)
-            self.token_seqs[cand] = TokenSeq(new_ids, new_texts)
-            self._insert(cand, tail.ids, base=target)
+            target = node.children[subtoken] = TreeNode(
+                offset=node.offset + len(sub_text), expanded=self._whole
+            )
+        moved.sort()
+        for cand in moved:
+            path = self.token_paths[cand]
+            del path[depth:]
+            path.append(subtoken)
+            target.members.add(cand)
+        if target.expanded:
+            self._place(target, moved, base=target.offset)
         return target
 
     def main_token_push(
@@ -122,13 +190,16 @@ class CompletionTree:
         return None
 
     def spelled_identifiers(self) -> set[str]:
-        """Identifier strings readable from root-to-terminal paths."""
+        """Identifier strings readable from root-to-terminal paths; a member of
+        a node not yet expanded reads on from its path with the rest of its identifier."""
         out: set[str] = set()
         stack = [(self.root, "")]
         while stack:
             node, text = stack.pop()
             if node.terminal_for is not None:
                 out.add(text)
+            if not node.expanded:
+                out.update(text + self.identifiers[m][len(text) :] for m in node.members)
             stack.extend((child, text + self.vocab.texts[t]) for t, child in node.children.items())
         return out
 
@@ -143,5 +214,7 @@ class CompletionTree:
 
 
 def build_tree(candidates: list[str], vocab: Vocabulary) -> CompletionTree:
-    """Build the completion trie for ``candidates`` under ``vocab``."""
-    return CompletionTree(candidates, vocab)
+    """Build the whole completion trie for ``candidates`` under ``vocab``."""
+    tree = CompletionTree(candidates, vocab)
+    tree._build_whole()
+    return tree

@@ -129,7 +129,7 @@ def greedy_tokenize(text: str, vocab: Vocabulary) -> TokenSeq:
 
     Raises :class:`UncoverableText` when no token matches at some position.
     """
-    (nodes, _, _, max_len), texts = _tables(vocab), vocab.texts
+    (nodes, _, _, max_len, _), texts = _tables(vocab), vocab.texts
     root = nodes[0]
     ids: list[int] = []
     pos = 0
@@ -157,6 +157,7 @@ class _Tables(NamedTuple):
     subtoken_map: tuple[tuple[int, ...], ...]  # see build_subtoken_map
     termination: frozenset[int]  # see Vocabulary.termination_ids
     max_len: int  # the longest token length
+    singles: frozenset[str]  # the texts of the one-character tokens
 
 
 def _build_tables(vocab: Vocabulary) -> _Tables:
@@ -182,7 +183,9 @@ def _build_tables(vocab: Vocabulary) -> _Tables:
         if text[0] not in IDENTIFIER_CHARS:
             termination.append(token_id)
     max_len = max(map(len, texts), default=0)
-    return _Tables(nodes, tuple(subtoken_map), frozenset(termination), max_len)
+    # A child of the root holds a token only when its one character is one.
+    singles = frozenset(ch for ch, child in nodes[0].items() if ch and nodes[child][""] >= 0)
+    return _Tables(nodes, tuple(subtoken_map), frozenset(termination), max_len, singles)
 
 
 # Guards the lazy build of the tables a vocabulary keeps.
@@ -220,7 +223,7 @@ def boundary_merged(prefix: TokenSeq, candidate: str, vocab: Vocabulary) -> bool
     within one maximal token length of the end are read, and from each the
     character trie is walked at most one maximal token length.
     """
-    (nodes, _, _, max_len), texts = _tables(vocab), vocab.texts
+    (nodes, _, _, max_len, _), texts = _tables(vocab), vocab.texts
     tail = ""
     for token in reversed(prefix.texts):
         tail = token + tail

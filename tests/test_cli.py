@@ -403,6 +403,7 @@ def mock(spec) -> list:
         ["rank", *BASE, *mock(b'{"default": {"add": NaN}}'), PREFIX, "add"],
         ["eval", *BASE, "--config", File(DEEP), f"{FIX}/smoke.jsonl"],
         ["compare", File(DEEP), File(DEEP)],
+        ["rank", *BASE, PREFIX, "add", "addAllé"],
     ],
     ids=[
         "max-steps-0", "empty-candidate", "empty-candidate-greedy", "negative-alpha", "jobs-0", "prefix-file", "candidates-file", "dataset",
@@ -415,7 +416,7 @@ def mock(spec) -> list:
         "config-no-strategies", "no-vocab", "no-backend", "backend-without-scheme",
         "backend-unknown-scheme", "rank-two-strategies", "report-invalid-json",
         "spec-nested-too-deeply", "spec-nan-probability", "config-nested-too-deeply",
-        "report-nested-too-deeply",
+        "report-nested-too-deeply", "uncoverable-candidate",
     ],
 )
 def test_invalid_input_exits_2_with_one_error_line(capsys, tmp_path, argv):

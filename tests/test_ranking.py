@@ -15,7 +15,13 @@ from trierank import (
     rank,
     ranking_record,
 )
-from trierank.errors import EmptyCandidateList, EmptyInput, EmptyMask, MissingChildProbability
+from trierank.errors import (
+    EmptyCandidateList,
+    EmptyInput,
+    EmptyMask,
+    MissingChildProbability,
+    UncoverableText,
+)
 from trierank.ranking import DecodeConfig, build_allowed_set, rank_from_traces, record_step
 from trierank.tree import CompletionTree, TreeNode
 
@@ -364,6 +370,36 @@ class TestValidation:
     def test_max_steps_validated(self):
         with pytest.raises(ValueError):
             DecodeConfig(max_steps=0)
+
+    @pytest.mark.parametrize(
+        "candidates, text, position",
+        [
+            # The bad character sits where the decode never gets to.
+            (["add", "addAllé"], "addAllé", 6),
+            # Of two bad candidates the first in list order is reported, deep as it is.
+            (["add", "addAllé", "é"], "addAllé", 6),
+        ],
+        ids=["deep", "first-of-two"],
+    )
+    def test_uncoverable_candidate_fails_before_any_ask(
+        self, worked_backend, worked_prefix, worked_vocab, candidates, text, position
+    ):
+        backend = CountingBackend(worked_backend)
+        with pytest.raises(UncoverableText) as info:
+            rank(backend, worked_prefix, candidates, worked_vocab)
+        assert (info.value.text, info.value.position) == (text, position)
+        assert backend.calls == 0
+
+    def test_uncoverable_split_suffix_fails_right_after_its_ask(self):
+        # No "c": once "ab" is picked at the root, the rest of "abc" is uncoverable.
+        vocab = Vocabulary.from_texts(["x", ".", "ab", "abc", "abd", "d"])
+        t = vocab.id
+        table = {t("ab"): 0.5, t("abc"): 0.3, t("abd"): 0.2}
+        backend = CountingBackend(MockBackend(default=table))
+        with pytest.raises(UncoverableText) as info:
+            rank(backend, greedy_tokenize("x.", vocab), ["abd", "abc"], vocab)
+        assert (info.value.text, info.value.position) == ("c", 0)
+        assert backend.calls == 1
 
 
 def test_split_and_push_counters_match_instrumented_recount(monkeypatch):

@@ -1,5 +1,6 @@
 import pytest
 
+import trierank.ranking
 import trierank.tree
 from trierank import (
     CountingBackend,
@@ -9,10 +10,12 @@ from trierank import (
     build_tree,
     full_subtoken_map,
     greedy_tokenize,
+    rank,
 )
 from trierank.errors import DuplicateCandidate, EmptyCandidateList, EmptyInput, NotASharedPrefix
 
 from support import dump_tree, random_model
+from test_spec_rank import split_fixture
 
 
 def assert_members_consistent(tree):
@@ -261,3 +264,42 @@ def test_build_constructs_each_node_once(monkeypatch):
         constructed = 0
         tree = build_tree(candidates, vocab)
         assert constructed == sum(1 for _ in tree.walk())
+
+
+def test_rank_constructs_only_the_nodes_its_decode_uses(monkeypatch):
+    # The root, the children of each node asked at, and the node each split adds.
+    constructed = asked_children = 0
+
+    class Counted(trierank.tree.TreeNode):
+        def __init__(self, *args, **kwargs):
+            nonlocal constructed
+            constructed += 1
+            super().__init__(*args, **kwargs)
+
+    real_record = trierank.ranking.record_step
+
+    def counting_record(traces, node, dist):
+        nonlocal asked_children
+        asked_children += len(node.children)
+        return real_record(traces, node, dist)
+
+    monkeypatch.setattr(trierank.tree, "TreeNode", Counted)
+    monkeypatch.setattr(trierank.ranking, "record_step", counting_record)
+    # 400 candidates with distinct first tokens: the decode stops after its
+    # first step, having built the root and its 400 children.
+    firsts = [chr(0x4E00 + i) for i in range(400)]
+    vocab = Vocabulary.from_texts(["x", ".", "a", "b", "c", "ab", "abc", *firsts])
+    wide = [f + "abcab" for f in firsts]
+    _, stats = rank(SeededBackend(vocab.size, 0), greedy_tokenize("x.", vocab), wide, vocab)
+    assert stats.steps_taken == 1 and stats.early_stopped and constructed == 1 + 400
+
+    splits = 0
+    for vocab, candidates, prefix, backend in [
+        *(random_model(seed) for seed in range(20)),
+        *map(split_fixture, range(10)),
+    ]:
+        constructed = asked_children = 0
+        _, stats = rank(backend, prefix, candidates, vocab)
+        assert constructed == 1 + asked_children + stats.splits
+        splits += stats.splits
+    assert splits > 0

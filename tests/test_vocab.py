@@ -266,7 +266,9 @@ def assert_tables_match_their_definitions(vocab: Vocabulary) -> None:
     assert vocab.termination_ids() == frozenset(
         i for i, t in enumerate(vocab.texts) if t[0] not in IDENTIFIER_CHARS
     )
-    assert trierank.vocab._tables(vocab).max_len == max(map(len, vocab.texts), default=0)
+    tables = trierank.vocab._tables(vocab)
+    assert tables.max_len == max(map(len, vocab.texts), default=0)
+    assert tables.singles == {t for t in vocab.texts if len(t) == 1}
 
 
 class TestTables:
