@@ -77,6 +77,13 @@ def read_text(path, what: str) -> str:
         raise ConfigError(f"cannot read {what}: {exc}") from None
 
 
+def write_text(path, text: str, what: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {what}: {exc}") from None
+
+
 def resolve_config(args) -> RunConfig:
     settings: dict = {}
     if args.config:
@@ -201,22 +208,23 @@ def cmd_rank(args) -> int:
     return EXIT_OK
 
 
-def _evaluate(args, strategies=None) -> tuple[RunConfig, EvalReport]:
-    """The config and report of ``eval`` or ``stats``; ``strategies`` overrides the config's."""
-    config = resolve_config(args)
+def _evaluate(config: RunConfig, dataset_path, strategies=None) -> EvalReport:
+    """The report of ``eval`` or ``stats``; ``strategies`` overrides the config's."""
     vocab = load_vocab(config)
     with closing(build_backend(config, vocab)) as backend:
-        dataset = load_points(args.dataset)
-        report = evaluate(strategies or config.strategies, dataset, backend, vocab, config.eval)
-    return config, report
+        dataset = load_points(dataset_path)
+        return evaluate(strategies or config.strategies, dataset, backend, vocab, config.eval)
 
 
 def cmd_eval(args) -> int:
-    config, report = _evaluate(args)
+    config = resolve_config(args)
     out = Path(config.out or "report.json")
-    out.write_text(report.to_json(config.include_timing) + "\n", encoding="utf-8")
+    if out.with_suffix(".txt") == out:
+        raise ConfigError(f"--out {out} would be overwritten by the table; give a non-.txt path")
+    report = _evaluate(config, args.dataset)
+    write_text(out, report.to_json(config.include_timing) + "\n", "report")
     table = report.table(config.include_timing)
-    out.with_suffix(".txt").write_text(table + "\n", encoding="utf-8")
+    write_text(out.with_suffix(".txt"), table + "\n", "report table")
     print(table)
     if report.warnings:
         print("\nwarnings:")
@@ -227,16 +235,15 @@ def cmd_eval(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    config, report = _evaluate(args, ["treeranker"])
+    config = resolve_config(args)
+    report = _evaluate(config, args.dataset, ["treeranker"])
     stats = tree_statistics(report.details["treeranker"], report.strategies["treeranker"])
+    if config.out:
+        write_text(config.out, json.dumps(stats, indent=2, sort_keys=True) + "\n", "statistics")
     width = max(len(k) for k in stats)
     for key, value in stats.items():
         shown = f"{value:.4f}" if isinstance(value, float) else str(value)
         print(f"{key:<{width}}  {shown}")
-    if config.out:
-        Path(config.out).write_text(
-            json.dumps(stats, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
     return EXIT_OK
 
 
@@ -263,12 +270,12 @@ def cmd_compare(args) -> int:
             if isinstance(left, (int, float)) and isinstance(right, (int, float)):
                 row[metric] = right - left
         deltas[name] = row
+    if args.out:
+        write_text(args.out, json.dumps(deltas, indent=2, sort_keys=True) + "\n", "deltas")
     for name in strategies:
         print(f"{name}:")
         for metric, delta in sorted(deltas[name].items()):
             print(f"  {metric:<22} {delta:+.4f}")
-    if args.out:
-        Path(args.out).write_text(json.dumps(deltas, indent=2, sort_keys=True) + "\n")
     return EXIT_OK
 
 

@@ -23,7 +23,7 @@ from .errors import (
     NotASharedPrefix,
     UncoverableText,
 )
-from .vocab import TokenSeq, Vocabulary, _tables
+from .vocab import TokenSeq, Vocabulary, longest_match
 
 
 @dataclass
@@ -75,7 +75,7 @@ class CompletionTree:
         self.token_paths: list[list[int]] = [[] for _ in identifiers]
         self.root = TreeNode(members=set(range(len(identifiers))), expanded=False)
         self._whole = False
-        if not _tables(vocab).singles.issuperset("".join(identifiers)):
+        if not vocab.ids.keys() >= set("".join(identifiers)):
             self._build_whole()
 
     @property
@@ -98,11 +98,10 @@ class CompletionTree:
 
     def _place(self, node: TreeNode, candidates: Iterable[int], base: int = 0) -> None:
         """Place each of ``candidates``, members of the expanded ``node``, into
-        a child, and on down through the children already expanded. An
-        uncoverable rest raises :class:`UncoverableText` on the text from
-        offset ``base``."""
-        (trie, _, _, max_len, _), texts = _tables(self.vocab), self.vocab.texts
-        top = trie[0]
+        a child, and on down through the children already expanded, along the
+        vocabulary's :func:`~trierank.vocab.longest_match` at each offset. An
+        uncoverable rest raises :class:`UncoverableText` on the text from ``base``."""
+        match, texts = longest_match(self.vocab), self.vocab.texts
         whole = self._whole
         for cand in candidates:
             ident, path, at = self.identifiers[cand], self.token_paths[cand], node
@@ -114,14 +113,7 @@ class CompletionTree:
                     )
                     at.terminal_for = cand
                     break
-                # greedy_tokenize's walk: the trie node reached holds the longest match.
-                trie_node = top
-                for ch in ident[pos : pos + max_len]:
-                    child = trie_node.get(ch)
-                    if child is None:
-                        break
-                    trie_node = trie[child]
-                token = trie_node[""]
+                token = match(ident, pos)
                 if token < 0:
                     raise UncoverableText(ident[base:], pos - base)
                 path.append(token)
@@ -185,9 +177,7 @@ class CompletionTree:
     ) -> int | None:
         """The unique child main token the subtoken strictly prefixes, if exactly one."""
         matches = [t for t in node.children if subtoken in submap[t]]
-        if len(matches) == 1:
-            return matches[0]
-        return None
+        return matches[0] if len(matches) == 1 else None
 
     def spelled_identifiers(self) -> set[str]:
         """Identifier strings readable from root-to-terminal paths; a member of

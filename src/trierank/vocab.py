@@ -3,8 +3,9 @@
 A :class:`Vocabulary` is an immutable table of token texts with dense ids.
 :func:`greedy_tokenize` picks the longest matching token at every position,
 which is the deterministic token sequence the decoder optimistically follows.
-It walks a character trie of the token texts whose every node records the
-longest token its path starts with, so the walk ends at the longest match.
+It, :func:`boundary_merged` and the completion tree all call the one walk that
+:func:`longest_match` gives: it walks a character trie of the token texts whose
+every node records the longest token its path starts with, so it ends at the longest match.
 :func:`full_subtoken_map` lists the ids of the tokens that strictly prefix
 each token, so the decoder can admit and resolve partial-token selections.
 One pass over the texts, made on first use, builds both for a vocabulary.
@@ -17,7 +18,7 @@ import string
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .errors import ParseError, UncoverableText
 
@@ -129,19 +130,11 @@ def greedy_tokenize(text: str, vocab: Vocabulary) -> TokenSeq:
 
     Raises :class:`UncoverableText` when no token matches at some position.
     """
-    (nodes, _, _, max_len, _), texts = _tables(vocab), vocab.texts
-    root = nodes[0]
+    match, texts = _tables(vocab).longest_match, vocab.texts
     ids: list[int] = []
-    pos = 0
-    n = len(text)
+    pos, n = 0, len(text)
     while pos < n:
-        node = root
-        for ch in text[pos : pos + max_len]:
-            child = node.get(ch)
-            if child is None:
-                break
-            node = nodes[child]
-        match_id = node[""]
+        match_id = match(text, pos)
         if match_id < 0:
             raise UncoverableText(text, pos)
         ids.append(match_id)
@@ -154,10 +147,10 @@ class _Tables(NamedTuple):
     # child's index and "" to the id of the longest token its path starts with
     # (-1 for none). Nodes hold only strings and ints, so the GC tracks none.
     trie: list[dict[str, int]]
+    longest_match: Callable[[str, int], int]  # see longest_match
     subtoken_map: tuple[tuple[int, ...], ...]  # see build_subtoken_map
     termination: frozenset[int]  # see Vocabulary.termination_ids
     max_len: int  # the longest token length
-    singles: frozenset[str]  # the texts of the one-character tokens
 
 
 def _build_tables(vocab: Vocabulary) -> _Tables:
@@ -183,9 +176,18 @@ def _build_tables(vocab: Vocabulary) -> _Tables:
         if text[0] not in IDENTIFIER_CHARS:
             termination.append(token_id)
     max_len = max(map(len, texts), default=0)
-    # A child of the root holds a token only when its one character is one.
-    singles = frozenset(ch for ch, child in nodes[0].items() if ch and nodes[child][""] >= 0)
-    return _Tables(nodes, tuple(subtoken_map), frozenset(termination), max_len, singles)
+    root = nodes[0]
+
+    def match(text: str, pos: int) -> int:
+        node = root
+        for ch in text[pos : pos + max_len]:
+            child = node.get(ch)
+            if child is None:
+                break
+            node = nodes[child]
+        return node[""]
+
+    return _Tables(nodes, match, tuple(subtoken_map), frozenset(termination), max_len)
 
 
 # Guards the lazy build of the tables a vocabulary keeps.
@@ -198,6 +200,12 @@ def _tables(vocab: Vocabulary) -> _Tables:
             if vocab._tables is None:
                 vocab._tables = _build_tables(vocab)
     return vocab._tables
+
+
+def longest_match(vocab: Vocabulary) -> Callable[[str, int], int]:
+    """The vocabulary's longest-match walk: ``match(text, pos)`` is the id of
+    the longest token that starts at ``pos`` in ``text``, or -1 for none."""
+    return _tables(vocab).longest_match
 
 
 def build_subtoken_map(vocab: Vocabulary) -> tuple[tuple[int, ...], ...]:
@@ -221,21 +229,15 @@ def boundary_merged(prefix: TokenSeq, candidate: str, vocab: Vocabulary) -> bool
     text keeps its token boundaries up to the first of them where a longer
     match crosses into the candidate, so only the prefix tokens starting
     within one maximal token length of the end are read, and from each the
-    character trie is walked at most one maximal token length.
+    longest match is looked up.
     """
-    (nodes, _, _, max_len, _), texts = _tables(vocab), vocab.texts
+    tables, texts = _tables(vocab), vocab.texts
     tail = ""
     for token in reversed(prefix.texts):
         tail = token + tail
-        if len(tail) >= max_len:
+        if len(tail) >= tables.max_len:
             break
-        node = nodes[0]
-        for ch in (tail + candidate)[:max_len]:
-            child = node.get(ch)
-            if child is None:
-                break
-            node = nodes[child]
-        found = node[""]
+        found = tables.longest_match(tail + candidate, 0)
         if found >= 0 and len(texts[found]) > len(tail):
             return True
     return False

@@ -280,6 +280,18 @@ def test_counting_backend():
     assert backend.first_response is not None
 
 
+def test_counting_backend_close_closes_its_inner_backend():
+    closed = []
+
+    class Closing(MockBackend):
+        def close(self):
+            closed.append(self)
+
+    inner = Closing(default={0: 1.0})
+    CountingBackend(inner).close()
+    assert closed == [inner]
+
+
 def _argmax_by_sort_key(probs):
     """The one-key form of the tie rule, kept as the reference for ``_argmax``."""
     return min(probs, key=lambda t: (-probs[t], t))

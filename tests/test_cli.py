@@ -1,17 +1,27 @@
 import json
 import math
 import string
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import trierank.cli
 import trierank.vocab
-from trierank import MockBackend, Vocabulary, mock_backend_from_spec
+from trierank import (
+    MockBackend,
+    SeededBackend,
+    Vocabulary,
+    greedy_tokenize,
+    mock_backend_from_spec,
+    rank,
+    ranking_record,
+)
 from trierank.cli import EXIT_BACKEND, EXIT_CONFIG, EXIT_OK, main
 from trierank.remote import serve_backend
 
-from support import garble, save_vocab
+from support import bench_inputs, garble, save_vocab
 
 FIX = "fixtures"
 BASE = ["--backend", f"mock:{FIX}/mockspec.json", "--vocab", f"{FIX}/vocab.tsv"]
@@ -129,6 +139,19 @@ class TestEval:
         report = json.loads(out_path.read_text())
         assert set(report["strategies"]) == {"treeranker", "beamall"}
         assert out_path.with_suffix(".txt").exists()
+
+    def test_txt_out_exits_2_before_evaluating(self, capsys, monkeypatch, tmp_path):
+        # The table goes to the --out path with suffix .txt; a .txt report
+        # path would be overwritten by it.
+        def evaluate(*args, **kwargs):
+            raise AssertionError("evaluated")
+
+        monkeypatch.setattr(trierank.cli, "evaluate", evaluate)
+        out_path = tmp_path / "r.txt"
+        code, out, err = run(capsys, "eval", *BASE, "--out", str(out_path), f"{FIX}/smoke.jsonl")
+        assert code == EXIT_CONFIG and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert not out_path.exists()
 
     def test_empty_candidate_line_rejected(self, capsys, tmp_path):
         dataset = tmp_path / "data.jsonl"
@@ -452,6 +475,18 @@ def test_bad_settings_exit_with_one_error_line(capsys, tmp_path, argv, code):
     assert err.startswith("backend error: " if code == EXIT_BACKEND else "error: ")
 
 
+@pytest.mark.parametrize("command", ["eval", "stats", "compare"])
+def test_unwritable_out_exits_2_with_one_error_line(capsys, tmp_path, command):
+    if command == "compare":
+        report = File({"strategies": {"treeranker": {"mrr": 0.5}}}).write(tmp_path / "r.json")
+        argv = ["compare", report, report]
+    else:
+        argv = [command, *BASE, SMOKE]
+    code, out, err = run(capsys, *argv, "--out", str(tmp_path / "missing" / "out.json"))
+    assert code == EXIT_CONFIG and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: cannot write ")
+
+
 def test_an_overflowing_length_penalty_is_ranked(capsys, tmp_path):
     out_path = tmp_path / "r.json"
     code, _, err = run(
@@ -492,8 +527,6 @@ def test_rank_tokenizes_the_prefix_at_most_twice(capsys, monkeypatch, tmp_path):
 
 
 def test_console_script_entry():
-    import subprocess
-
     result = subprocess.run(
         [sys.executable, "-m", "trierank.cli", "rank", *BASE, f"{FIX}/prefix.txt", "add", "clear"],
         capture_output=True,
@@ -505,7 +538,33 @@ def test_console_script_entry():
 
 def test_cli_import_leaves_the_remote_client_unloaded():
     """``trierank.remote`` (http.client, http.server) loads only for a ``remote:`` backend."""
-    import subprocess
-
     code = "import sys, trierank.cli; assert 'trierank.remote' not in sys.modules"
     subprocess.run([sys.executable, "-c", code], check=True)
+
+
+def test_cold_cli_rank_of_the_largest_rank_32k_point_equals_rank(tmp_path):
+    """A cold CLI rank of the largest seed-1 rank-32k point: one process loads
+    the 32k vocabulary, builds its tables on first use and ranks 986
+    candidates. Every character is a one-character token there, so rank()
+    builds its trie on demand, which no fixture run of the CLI does. Its
+    record must equal the one a library rank() gives on the same point."""
+    vocab_path, points_path = bench_inputs().write_inputs("rank-32k", 1, tmp_path)
+    lines = points_path.read_text(encoding="utf-8").splitlines()
+    point = max(map(json.loads, lines), key=lambda p: len(p["candidates"]))
+    prefix_path, candidates_path = tmp_path / "prefix.txt", tmp_path / "candidates.txt"
+    prefix_path.write_text(point["prefix"], encoding="utf-8")
+    candidates_path.write_text("\n".join(point["candidates"]) + "\n", encoding="utf-8")
+    cli = subprocess.run(
+        [sys.executable, "-m", "trierank.cli", "rank", "--backend", "mock:1", "--no-timing",
+         "--vocab", str(vocab_path), "--candidates-file", str(candidates_path), str(prefix_path)],
+        capture_output=True, check=True, text=True,
+    )
+    vocab = Vocabulary.load(vocab_path)
+    prefix = greedy_tokenize(point["prefix"], vocab)
+    ranked, stats = rank(SeededBackend(vocab.size, 1), prefix, point["candidates"], vocab)
+    ranking = [r.identifier for r in ranked]
+    expected = ranking_record("treeranker", point["candidates"], ranking, stats)
+    assert len(point["candidates"]) == 986
+    assert json.loads(cli.stdout) == expected, "the CLI and rank() disagree"
+    warnings = cli.stderr.splitlines()
+    assert len(warnings) == 867 and all("is unreachable as tokenized" in w for w in warnings)

@@ -1,7 +1,10 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import trierank.ranking
 import trierank.tree
+import trierank.vocab
 from trierank import (
     CountingBackend,
     SeededBackend,
@@ -12,7 +15,14 @@ from trierank import (
     greedy_tokenize,
     rank,
 )
-from trierank.errors import DuplicateCandidate, EmptyCandidateList, EmptyInput, NotASharedPrefix
+from trierank.errors import (
+    DuplicateCandidate,
+    EmptyCandidateList,
+    EmptyInput,
+    NotASharedPrefix,
+    UncoverableText,
+)
+from trierank.tree import CompletionTree
 
 from support import dump_tree, random_model
 from test_spec_rank import split_fixture
@@ -303,3 +313,33 @@ def test_rank_constructs_only_the_nodes_its_decode_uses(monkeypatch):
         assert constructed == 1 + asked_children + stats.splits
         splits += stats.splits
     assert splits > 0
+
+
+@st.composite
+def vocab_and_identifiers(draw):
+    """Vocabularies that hold every, some or none of the one-character tokens
+    of the alphabet, and candidate lists spelled from that alphabet."""
+    alphabet = "abé"
+    tokens = draw(st.sets(st.text(alphabet=alphabet, min_size=1, max_size=3), min_size=1))
+    if draw(st.booleans()):
+        tokens |= set(alphabet)
+    identifiers = draw(
+        st.sets(st.text(alphabet=alphabet, min_size=1, max_size=6), min_size=1, max_size=5)
+    )
+    return Vocabulary.from_texts(sorted(tokens)), sorted(identifiers)
+
+
+@given(vocab_and_identifiers())
+def test_tree_is_built_on_demand_exactly_when_every_character_is_a_token(case):
+    # The characters spelled by the root's children that hold a token: the
+    # one-character tokens, as the vocabulary tables once listed them.
+    vocab, identifiers = case
+    trie = trierank.vocab._tables(vocab).trie
+    singles = frozenset(ch for ch, child in trie[0].items() if ch and trie[child][""] >= 0)
+    on_demand = singles.issuperset("".join(identifiers))
+    try:
+        tree = CompletionTree(identifiers, vocab)
+    except UncoverableText:
+        assert not on_demand
+    else:
+        assert tree.root.expanded is not on_demand

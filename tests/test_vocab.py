@@ -19,7 +19,7 @@ from trierank import (
 from trierank.cli import main
 from trierank.evaluate import EvalConfig, evaluate
 from trierank.errors import ParseError, UncoverableText
-from trierank.vocab import IDENTIFIER_CHARS, boundary_merged, identifier_prefix
+from trierank.vocab import IDENTIFIER_CHARS, boundary_merged, identifier_prefix, longest_match
 
 from support import bench_inputs, save_vocab
 
@@ -261,14 +261,29 @@ def slice_lookup_subtoken_map(vocab: Vocabulary) -> tuple[tuple[int, ...], ...]:
     return tuple(table)
 
 
-def assert_tables_match_their_definitions(vocab: Vocabulary) -> None:
+def lookup_longest_match(text: str, pos: int, vocab: Vocabulary) -> int:
+    """Reference longest match: every slice of ``text`` from ``pos`` looked up
+    in ``vocab.ids``, longest first; -1 when none is a token."""
+    for end in range(len(text), pos, -1):
+        found = vocab.ids.get(text[pos:end])
+        if found is not None:
+            return found
+    return -1
+
+
+def assert_tables_match_their_definitions(vocab: Vocabulary, *texts: str) -> None:
+    """Check the tables against their definitions, and the longest-match walk
+    at every position of every token text and of ``texts``, their ends too."""
     assert full_subtoken_map(vocab) == slice_lookup_subtoken_map(vocab)
     assert vocab.termination_ids() == frozenset(
         i for i, t in enumerate(vocab.texts) if t[0] not in IDENTIFIER_CHARS
     )
     tables = trierank.vocab._tables(vocab)
     assert tables.max_len == max(map(len, vocab.texts), default=0)
-    assert tables.singles == {t for t in vocab.texts if len(t) == 1}
+    match = longest_match(vocab)
+    for text in (*vocab.texts, *texts):
+        for pos in range(len(text) + 1):
+            assert match(text, pos) == lookup_longest_match(text, pos, vocab), (text, pos)
 
 
 class TestTables:
@@ -286,7 +301,7 @@ class TestTables:
 
     @given(gapped_vocab_and_text())
     def test_gapped_vocabularies(self, case):
-        assert_tables_match_their_definitions(case[0])
+        assert_tables_match_their_definitions(*case)
 
     @pytest.mark.parametrize("workload", ["rank-32k", "eval-2k", "remote-2k"])
     def test_benchmark_vocabularies(self, workload, tmp_path):
@@ -299,6 +314,7 @@ class TestTables:
         assert full_subtoken_map is trierank.vocab.build_subtoken_map
         assert full_subtoken_map(vocab) is tables.subtoken_map
         assert vocab.termination_ids() is tables.termination
+        assert longest_match(vocab) is tables.longest_match
         assert trierank.vocab._tables(vocab) is tables
 
 
