@@ -3,12 +3,22 @@
 Request (JSON body, any path)::
 
     {"context_tokens": [int, ...]   # or "context_text": str
-     "allowed": [int, ...] | null,  # renormalize + constrain argmax over these
+     "allowed": [int, ...]          # renormalize + constrain argmax over these,
+              | {"ids": [int, ...], "termination": str}  # or these plus a named class,
+              | null,
      "query": [int, ...] | null,    # report these ids without constraining
      "top_k": int}                  # optional, unmasked asks only
 
-``allowed`` is the mask's whole admissible set, expanded: a termination
-class travels as its ids, and the server answers for every one of them.
+A server built with a vocabulary names its vocabulary's termination class in
+every 200 reply, in the :data:`TERMINATION_HEADER` header: a short digest of
+the class's ascending ids (:func:`_class_tag`). A client whose last 200 reply
+named the class its mask carries sends the object form: the mask's explicit
+ids and the class's name. The server rebuilds the mask with its own class
+and answers as a local masked ask does, for the explicit ids and the argmax.
+In every other case (no header, another class, a mask without a class)
+``allowed`` is the mask's whole admissible set, expanded, and the server
+answers for every one of its ids. A named class the server does not hold,
+or one sent to a server without a vocabulary, is a bad request.
 
 Response::
 
@@ -47,20 +57,25 @@ for 400, 500 and transport failures. Every error reply carries
 ``Connection: close`` and ends the connection, so a body left unread or
 unparsed cannot desync the next request.
 
-Both directions stay compatible with v1. A v1 server ignores ``top_k`` and
-answers with the whole table, which holds every id the client reads, and
-its HTTP/1.0 replies close each connection. A v1 client sends no ``top_k``
-and gets the whole table.
+Both directions stay compatible with v1 and v2. A v1 server ignores
+``top_k`` and answers with the whole table, which holds every id the client
+reads, and its HTTP/1.0 replies close each connection. A v1 client sends no
+``top_k`` and gets the whole table. Neither v1 nor v2 servers send the
+termination header, so they only ever get expanded masks, and v1 and v2
+clients only send them. A v2 server refuses a non-list ``allowed``, so a
+client that names the class to a server swapped for an older one gets an
+error, never a ranking over its explicit ids alone.
 
 :func:`serve_backend` wraps any local backend in a threaded HTTP server,
-optionally with a vocabulary so ``context_text`` requests can be tokenized
-server-side (the fallback for clients whose greedy rule disagrees with the
-model's tokenizer).
+optionally with a vocabulary, so that ``context_text`` requests can be
+tokenized server-side (the fallback for clients whose greedy rule disagrees
+with the model's tokenizer) and terminal asks can name the termination class.
 """
 
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import http.client
 import json
 import logging
@@ -68,7 +83,7 @@ import math
 import socket
 import threading
 import urllib.parse
-from functools import partial
+from functools import lru_cache, partial
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from .backend import Distribution, LogitMask, ModelBackend, top_k_answer
@@ -76,8 +91,12 @@ from .errors import BackendUnavailable, ContextTooLong, EmptyInput
 from .vocab import Vocabulary, greedy_tokenize
 
 MAX_BODY_BYTES = 8 << 20
-"""The largest request body the server reads. A terminal step's ``allowed``
-list at a 32k vocabulary is about 116 KB."""
+"""The largest request body the server reads. At a 32k vocabulary a terminal
+request with its ``allowed`` list expanded is about 120 KB, and one that
+names the termination class about 6.5 KB."""
+
+TERMINATION_HEADER = "Trierank-Termination"
+"""The reply header that names the termination class of a server's vocabulary."""
 
 IDLE_TIMEOUT_S = 30.0
 """Seconds a server-side connection may wait for its next request."""
@@ -90,12 +109,25 @@ def _refuse_constant(name: str):
 _ANSWER_DECODER = json.JSONDecoder(parse_constant=_refuse_constant)
 
 
+@lru_cache(maxsize=8)
+def _class_tag(cls: frozenset[int]) -> str:
+    """The name of a termination class on the wire: a digest of its ascending
+    ids, the same in every process. A vocabulary has one class, so client and
+    server each compute it once."""
+    text = ",".join(map(str, sorted(cls)))
+    return hashlib.blake2b(text.encode("ascii"), digest_size=12).hexdigest()
+
+
 class RemoteBackend(ModelBackend):
     """Client side of the protocol; safe to share between threads. Its endpoint
     is parsed once, here: a malformed or non-HTTP one raises :class:`BackendUnavailable`.
 
     Each ask takes an idle kept-alive connection, or opens one, and gives it
     back after a successful exchange: ``N`` threads use at most ``N``.
+
+    A mask travels with its termination class named when the last 200 reply
+    named the same class in its :data:`TERMINATION_HEADER`, and expanded
+    otherwise.
     """
 
     def __init__(self, endpoint: str, timeout: float = 10.0):
@@ -112,12 +144,14 @@ class RemoteBackend(ModelBackend):
         self._target = urllib.parse.urlunsplit(("", "", url.path or "/", url.query, ""))
         # Idle connections; ``list.pop`` and ``list.append`` are atomic.
         self._idle: list[http.client.HTTPConnection] = []
+        # The termination class the last 200 reply named; ``None`` if it named none.
+        self._termination: str | None = None
 
     def next_distribution(self, context, allowed=None, query=None, top_k=None) -> Distribution:
         query = sorted(query) if query else None
         payload = {
             "context_tokens": list(context),
-            "allowed": sorted(allowed.allowed) if allowed is not None else None,
+            "allowed": None if allowed is None else self._wire_mask(allowed),
             "query": query,
         }
         if top_k is not None:
@@ -129,6 +163,14 @@ class RemoteBackend(ModelBackend):
             AttributeError, KeyError, OverflowError, RecursionError, TypeError, ValueError
         ) as exc:
             raise BackendUnavailable(f"malformed response from {self.endpoint}: {exc}") from None
+
+    def _wire_mask(self, mask: LogitMask):
+        """The ``allowed`` field for ``mask``: its explicit ids and the name of
+        its class if the server named that class, else its whole admissible set."""
+        tag = self._termination
+        if mask.termination and tag is not None and _class_tag(mask.termination) == tag:
+            return {"ids": sorted(mask.ids), "termination": tag}
+        return sorted(mask.allowed)
 
     def close(self) -> None:
         """Close every idle connection once no ask is in flight; the next ask
@@ -146,6 +188,7 @@ class RemoteBackend(ModelBackend):
             raise ContextTooLong(f"server rejected context: {response.reason}")
         if response.status != 200:
             raise BackendUnavailable(f"HTTP {response.status} from {self.endpoint}")
+        self._termination = response.getheader(TERMINATION_HEADER)
         return data
 
     def _post(self, body: bytes) -> tuple[http.client.HTTPResponse, bytes]:
@@ -229,11 +272,18 @@ def _parse_ask(payload, vocab: Vocabulary | None):
     if not context:
         raise EmptyInput("context must be non-empty")
     allowed, query, top_k = payload.get("allowed"), payload.get("query"), payload.get("top_k")
-    for ids in (context, allowed or [], query or []):
+    masked, termination = allowed is not None, frozenset()
+    if type(allowed) is dict:  # explicit ids and a named class
+        if allowed.keys() != {"ids", "termination"}:
+            raise ValueError("a named mask holds exactly ids and termination")
+        if vocab is None or allowed["termination"] != _class_tag(vocab.termination_ids()):
+            raise ValueError("the mask names a termination class this server does not hold")
+        termination, allowed = vocab.termination_ids(), allowed["ids"]
+    for ids in (context, allowed if masked else [], [] if query is None else query):
         # ``int()`` would turn 1.9, true and "1" into ids that were never sent.
         if type(ids) is not list or any(type(t) is not int for t in ids):
             raise ValueError("token ids must be lists of integers")
-    mask = None if allowed is None else LogitMask(frozenset(allowed))
+    mask = LogitMask(frozenset(allowed), termination) if masked else None
     query = query or None
     if top_k is not None and (type(top_k) is not int or top_k < 0 or mask is not None):
         raise ValueError("top_k must be a non-negative integer and cannot come with allowed")
@@ -296,6 +346,8 @@ def _make_handler(backend: ModelBackend, vocab: Vocabulary | None):
                 # The body may be unread or unparsed: read no next request after it.
                 self.send_header("Connection", "close")
                 self.close_connection = True
+            elif vocab is not None:
+                self.send_header(TERMINATION_HEADER, _class_tag(vocab.termination_ids()))
             self.end_headers()
             self.wfile.write(data)
 
@@ -337,6 +389,11 @@ def serve_backend(
     port: int = 0,
 ) -> tuple[ThreadingHTTPServer, str]:
     """Expose ``backend`` over the protocol; returns (server, endpoint URL).
+
+    With ``vocab`` the server tokenizes ``context_text`` requests and names
+    the vocabulary's termination class in every 200 reply, so that terminal
+    asks send the class's name instead of its ids. The name is computed at
+    the first reply, not here.
 
     The server runs on a daemon thread; call ``server.shutdown()`` and then
     ``server.server_close()`` when done. ``server_close()`` ends every

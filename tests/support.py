@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import functools
 import importlib.util
+import io
+import json
 import random
 import sys
 from pathlib import Path
@@ -187,3 +189,22 @@ def count_connections(server) -> list:
 
     server.RequestHandlerClass = Counting
     return opened
+
+
+def record_bodies(server) -> list:
+    """The request bodies ``server`` reads from now on, parsed, in order of
+    arrival; every body must carry a valid ``Content-Length``."""
+    bodies = []
+
+    class Recording(server.RequestHandlerClass):
+        def do_POST(self):
+            body = self.rfile.read(int(self.headers["Content-Length"]))
+            bodies.append(json.loads(body))
+            rfile, self.rfile = self.rfile, io.BytesIO(body)
+            try:
+                super().do_POST()
+            finally:
+                self.rfile = rfile
+
+    server.RequestHandlerClass = Recording
+    return bodies

@@ -20,14 +20,21 @@ from trierank import (
     build_tree,
     full_subtoken_map,
     greedy_tokenize,
+    load_dataset,
     next_distribution,
     rank,
 )
 from trierank.errors import BackendUnavailable, ContextTooLong
 from trierank.ranking import DecodeConfig, build_allowed_set
-from trierank.remote import MAX_BODY_BYTES, RemoteBackend, serve_backend
+from trierank.remote import (
+    MAX_BODY_BYTES,
+    TERMINATION_HEADER,
+    RemoteBackend,
+    _class_tag,
+    serve_backend,
+)
 
-from support import count_connections, garble
+from support import bench_inputs, count_connections, garble, record_bodies
 
 
 @pytest.fixture
@@ -155,6 +162,9 @@ def test_unparsable_or_invalid_body_answers_400(served):
         b'{"context_tokens": [1], "allowed": [false, 3]}',
         b'{"context_tokens": [1], "query": [2.0]}',
         b'{"context_tokens": [1], "query": ["2"]}',
+        b'{"context_tokens": [1], "query": false}',
+        b'{"context_tokens": [1], "query": {}}',
+        b'{"context_tokens": [1], "allowed": false}',
     ]:
         code, reply = post_raw(remote.endpoint, body)
         assert code == 400 and reply["error"] == "bad_request", body
@@ -267,19 +277,38 @@ def test_seeded_backend_over_the_wire_is_deterministic(connect):
         server.server_close()
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_remote_matches_local_at_a_terminal_node(seed, connect):
-    """The client expands the termination class on the wire; the server's
+TERMINAL_TEXTS = ["x", ".", "(", ")", ";", "\n", "add", "All", "Al", "A", "a"]
+
+
+def terminal_ask(vocab: Vocabulary) -> tuple[list[int], LogitMask]:
+    """The context and mask of the ask at the terminal node ``add`` of the
+    candidates ``add`` and ``addAll`` after ``x.``: explicit ids and the class."""
+    prefix = greedy_tokenize("x.", vocab)
+    node = build_tree(["add", "addAll"], vocab).root.children[vocab.id("add")]
+    mask = build_allowed_set(node, full_subtoken_map(vocab), vocab, DecodeConfig())
+    assert mask.ids and mask.termination
+    return [*prefix.ids, vocab.id("add")], mask
+
+
+def named(mask: LogitMask) -> dict:
+    """The ``allowed`` field of ``mask`` with its class named."""
+    return {"ids": sorted(mask.ids), "termination": _class_tag(mask.termination)}
+
+
+@pytest.mark.parametrize(
+    "seed, hosts_vocab",
+    [pytest.param(seed, False, id=str(seed)) for seed in range(4)]
+    + [pytest.param(seed, True, id=f"named-{seed}") for seed in range(4)],
+)
+def test_remote_matches_local_at_a_terminal_node(seed, hosts_vocab, connect):
+    """Whether the termination class travels expanded or named, the server's
     floats on the explicit ids, and its argmax, equal the local class path's."""
-    vocab = Vocabulary.from_texts(["x", ".", "(", ")", ";", "\n", "add", "All", "Al", "A", "a"])
+    vocab = Vocabulary.from_texts(TERMINAL_TEXTS)
     local = SeededBackend(vocab.size, seed)
     prefix = greedy_tokenize("x.", vocab)
-    tree = build_tree(["add", "addAll"], vocab)
-    node = tree.root.children[vocab.id("add")]
-    mask = build_allowed_set(node, full_subtoken_map(vocab), vocab, DecodeConfig())
-    assert mask.termination
-    context = [*prefix.ids, vocab.id("add")]
-    server, url = serve_backend(local)
+    context, mask = terminal_ask(vocab)
+    server, url = serve_backend(local, vocab if hosts_vocab else None)
+    bodies = record_bodies(server)
     try:
         remote = connect(url)
         a = next_distribution(local, context, mask)
@@ -290,10 +319,192 @@ def test_remote_matches_local_at_a_terminal_node(seed, connect):
         via_local, local_stats = rank(local, prefix, candidates, vocab)
         via_remote, remote_stats = rank(remote, prefix, candidates, vocab)
         assert via_local == via_remote and local_stats == remote_stats
+        # The first ask precedes any reply, so its class travels expanded.
+        assert bodies[0]["allowed"] == sorted(mask.allowed)
+        c = next_distribution(remote, context, mask)
+        if hosts_vocab:  # named, and answered as the local ask: explicit ids and argmax
+            assert bodies[-1]["allowed"] == named(mask) and c == a
+        else:
+            assert bodies[-1]["allowed"] == sorted(mask.allowed) and c.argmax == a.argmax
     finally:
         server.shutdown()
         server.server_close()
 
+
+def test_a_v2_server_gets_the_class_expanded(connect):
+    """A v1 or v2 server, whose replies carry no termination header, only ever
+    sees the whole admissible set."""
+    vocab = Vocabulary.from_texts(TERMINAL_TEXTS)
+    local = SeededBackend(vocab.size, 1)
+    context, mask = terminal_ask(vocab)
+    expected = next_distribution(local, context, mask)
+    server, url = serve_backend(local, vocab)
+    table = dict(enumerate(local.raw_distribution(context)))
+    garble(server, json.dumps({"probs": table, "argmax": expected.argmax}).encode())
+    bodies = record_bodies(server)
+    try:
+        remote = connect(url)
+        for _ in range(3):
+            assert next_distribution(remote, context, mask).argmax == expected.argmax
+        assert remote._termination is None
+        assert [b["allowed"] for b in bodies] == [sorted(mask.allowed)] * 3
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+def test_a_class_only_mask_travels_named_and_is_answered(connect):
+    vocab = Vocabulary.from_texts(TERMINAL_TEXTS)
+    local = SeededBackend(vocab.size, 2)
+    context, _ = terminal_ask(vocab)
+    mask = LogitMask(frozenset(), vocab.termination_ids())
+    expected = next_distribution(local, context, mask)
+    server, url = serve_backend(local, vocab)
+    bodies = record_bodies(server)
+    try:
+        remote = connect(url)
+        next_distribution(remote, context, mask)
+        assert next_distribution(remote, context, mask) == expected
+        assert expected.probs.keys() == {expected.argmax}
+        assert bodies[1]["allowed"] == named(mask) and named(mask)["ids"] == []
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+def advertise(server, tag: str) -> None:
+    """Make ``server`` name the class ``tag`` in every reply, whatever class it
+    holds, as a server swapped behind its endpoint between two replies would."""
+
+    class Advertising(server.RequestHandlerClass):
+        def send_header(self, keyword, value):
+            if keyword != TERMINATION_HEADER:
+                super().send_header(keyword, value)
+
+        def end_headers(self):
+            super().send_header(TERMINATION_HEADER, tag)
+            super().end_headers()
+
+    server.RequestHandlerClass = Advertising
+
+
+@pytest.mark.parametrize("server_kind", ["no-vocabulary", "other-class"])
+def test_a_named_class_the_server_does_not_hold_is_refused(server_kind, caplog, connect):
+    """A server without a vocabulary, or with another termination class,
+    answers a named class with 400, never with a ranking over another class;
+    the client raises :class:`BackendUnavailable`, here out of ``rank()``."""
+    vocab = Vocabulary.from_texts(TERMINAL_TEXTS)
+    other = Vocabulary.from_texts([*TERMINAL_TEXTS, "!"])  # "!" ends an identifier
+    assert other.termination_ids() != vocab.termination_ids()
+    local = SeededBackend(vocab.size, 1)
+    context, mask = terminal_ask(vocab)
+    server, url = serve_backend(local, None if server_kind == "no-vocabulary" else other)
+    try:
+        code, reply = post_raw(url, json.dumps({"context_tokens": context, "allowed": named(mask)}).encode())
+        assert code == 400 and reply["error"] == "bad_request"
+        assert "termination class" in reply["detail"]
+        advertise(server, _class_tag(vocab.termination_ids()))
+        bodies = record_bodies(server)
+        prefix = greedy_tokenize("x.", vocab)
+        with pytest.raises(BackendUnavailable, match="HTTP 400"):
+            rank(connect(url), prefix, ["add", "addAll"], vocab)
+        assert type(bodies[0]["allowed"]) is list and bodies[-1]["allowed"] == named(mask)
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+TAG = object()  # stands for the server's own class name
+
+
+@pytest.mark.parametrize(
+    "allowed",
+    [
+        {"ids": [True, 3], "termination": TAG},
+        {"ids": [1.9], "termination": TAG},
+        {"ids": ["1"], "termination": TAG},
+        {"ids": None, "termination": TAG},
+        {"ids": 3, "termination": TAG},
+        {"termination": TAG},
+        {"ids": [3], "termination": TAG, "extra": 1},
+        {"ids": [3], "termination": "0" * 24},
+        {"ids": [3], "termination": None},
+        {"ids": [3]},
+        {},
+    ],
+    ids=[
+        "true", "fraction", "string", "null-ids", "int-ids", "no-ids", "extra-key",
+        "other-tag", "null-tag", "no-tag", "empty",
+    ],
+)
+def test_a_malformed_named_mask_answers_400(hosted, allowed):
+    """The object form's ids follow the JSON-integer rule of every id list, and
+    it holds exactly ``ids`` and the server's own ``termination`` name."""
+    vocab, _, _, url = hosted
+    tag = _class_tag(vocab.termination_ids())
+    field = {k: tag if v is TAG else v for k, v in allowed.items()}
+    body = {"context_tokens": [vocab.id(".")], "allowed": field}
+    code, reply = post_raw(url, json.dumps(body).encode())
+    assert code == 400 and reply["error"] == "bad_request"
+
+
+def test_a_v2_client_body_gets_the_answer_it_got_before(hosted):
+    """A client that names no class sends the expanded list and is answered
+    for every admissible id, as before; so is the same mask sent named."""
+    vocab, local, _, url = hosted
+    context, cls = [vocab.id(".")], vocab.termination_ids()
+    mask = LogitMask(frozenset({vocab.id("add"), vocab.id("clear")}), cls)
+    reply = post(url, {"context_tokens": context, "allowed": sorted(mask.allowed), "query": None})
+    expanded = next_distribution(local, context, LogitMask(mask.allowed))
+    assert {int(t): p for t, p in reply["probs"].items()} == expanded.probs
+    assert reply["argmax"] == expanded.argmax
+    reply = post(url, {"context_tokens": context, "allowed": named(mask), "query": None})
+    local_answer = next_distribution(local, context, mask)
+    assert {int(t): p for t, p in reply["probs"].items()} == local_answer.probs
+
+
+class _Masks(ModelBackend):
+    """Forwards every ask to ``inner`` and keeps each ask's mask."""
+
+    def __init__(self, inner: ModelBackend):
+        self.inner, self.masks = inner, []
+
+    def next_distribution(self, context, allowed=None, query=None, top_k=None):
+        self.masks.append(allowed)
+        return self.inner.next_distribution(context, allowed, query, top_k)
+
+
+@pytest.fixture(scope="module")
+def remote_2k(tmp_path_factory):
+    """The seed-1 remote-2k benchmark inputs: (vocab, points)."""
+    directory = tmp_path_factory.mktemp("remote-2k")
+    vocab_path, data_path = bench_inputs().write_inputs("remote-2k", 1, directory)
+    return Vocabulary.load(vocab_path), load_dataset(data_path, strict=True).points
+
+
+@pytest.mark.parametrize("early_stop", [True, False], ids=["early-stop", "no-early-stop"])
+def test_remote_rank_equals_local_on_the_remote_2k_points(remote_2k, early_stop, connect):
+    """On every seed-1 remote-2k point a server holding the vocabulary gives
+    the local rankings, keys and statistics, and every terminal ask names the
+    class: the wire form the benchmark's remote workload uses."""
+    vocab, points = remote_2k
+    local = SeededBackend(vocab.size, 1)
+    server, url = serve_backend(local, vocab)
+    bodies = record_bodies(server)
+    config = DecodeConfig(early_stop=early_stop)
+    try:
+        remote = _Masks(connect(url))
+        for point in points:
+            prefix = greedy_tokenize(point.prefix, vocab)
+            expected = rank(local, prefix, point.candidates, vocab, config)
+            assert rank(remote, prefix, point.candidates, vocab, config) == expected, point.id
+    finally:
+        server.shutdown()
+        server.server_close()
+    # Every decode asks at the root, with no class, before any terminal ask.
+    wire = [None if m is None else named(m) if m.termination else sorted(m.ids) for m in remote.masks]
+    assert [b["allowed"] for b in bodies] == wire
+    assert sum(type(w) is dict for w in wire) >= len(points) // 2
 
 
 def test_one_connection_carries_every_ask(hosted, connect):
@@ -308,18 +519,22 @@ def test_one_connection_carries_every_ask(hosted, connect):
 
 def test_threads_sharing_one_backend_get_the_local_answers(hosted, connect):
     """More threads than cores, switching often: every answer is the local
-    one, no thread holds two connections, and every connection ends idle."""
+    one, every terminal ask names the class, no thread holds two connections,
+    and every connection ends idle."""
     vocab, local, server, url = hosted
     opened = count_connections(server)
+    bodies = record_bodies(server)
     remote = connect(url)
-    contexts = [[vocab.id("x")] * (i % 4) + [vocab.id(".")] for i in range(40)]
+    remote.next_distribution([vocab.id(".")])  # learns the server's class
+    mask = LogitMask(frozenset({vocab.id("add"), vocab.id("clear")}), vocab.termination_ids())
+    asks = [([vocab.id("x")] * (i % 4) + [vocab.id(".")], mask if i % 2 else None) for i in range(40)]
     threads = max(2, (os.cpu_count() or 1) + 1)
     answers: dict[int, list] = {}
     start = threading.Barrier(threads)
 
     def ask(worker: int) -> None:
         start.wait()
-        answers[worker] = [remote.next_distribution(c) for c in contexts]
+        answers[worker] = [remote.next_distribution(c, m) for c, m in asks]
 
     workers = [threading.Thread(target=ask, args=(w,)) for w in range(threads)]
     interval = sys.getswitchinterval()
@@ -332,8 +547,9 @@ def test_threads_sharing_one_backend_get_the_local_answers(hosted, connect):
     finally:
         sys.setswitchinterval(interval)
     assert not any(w.is_alive() for w in workers)
-    expected = [local.next_distribution(c) for c in contexts]
+    expected = [local.next_distribution(c, m) for c, m in asks]
     assert answers == {w: expected for w in range(threads)}
+    assert sum(b["allowed"] == named(mask) for b in bodies) == threads * len(asks) // 2
     assert 1 <= len(opened) <= threads and len(remote._idle) == len(opened)
 
 
