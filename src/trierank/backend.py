@@ -6,7 +6,9 @@ the next-token probabilities?" — optionally restricted by a
 surviving support is renormalized), optionally reporting extra queried ids
 without constraining the argmax. An unmasked ask may name how many of the
 most probable ids it reads (``top_k``); it then costs a selection over the
-table instead of a copy of it.
+table instead of a copy of it. Asks whose contexts do not depend on each
+other's answers can go as one batch (:meth:`ModelBackend.next_distributions`):
+a local backend answers them one by one, and a remote one in one request.
 
 A mask holds explicit ids plus, at a terminal node, the vocabulary's shared
 class of identifier-ending tokens. The union is never built on the local path:
@@ -48,7 +50,7 @@ from functools import cached_property, lru_cache, partial
 from itertools import repeat
 from operator import getitem, itemgetter
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import ContextTooLong, EmptyInput, EmptyMask, MalformedSpec
 from .vocab import TokenSeq, Vocabulary
@@ -92,6 +94,11 @@ class LogitMask:
     def allowed(self) -> frozenset[int]:
         """The whole admissible set, built on first read: O(vocabulary) with a class."""
         return self.ids | self.termination
+
+
+Ask = tuple[Sequence[int], Optional[LogitMask], Optional[Iterable[int]], Optional[int]]
+"""One question of a batch: ``(context, mask, query, top_k)``, the arguments of
+:func:`next_distribution` after the backend."""
 
 
 def _read(table: Table, ids: Sequence[int]) -> Sequence[float]:
@@ -209,6 +216,18 @@ class ModelBackend:
             probs.setdefault(q, 0.0)
         return Distribution(probs, argmax)
 
+    def next_distributions(self, asks: Sequence[Ask]) -> list[Distribution]:
+        """Answer a batch of asks ``(context, mask, query, top_k)``, each as
+        :func:`next_distribution` answers it, in order. Every ask is checked
+        first, as :func:`next_distribution` checks it, so a bad one raises
+        before any is answered; ``context`` is a sequence of token ids. This
+        default answers them one by one through :meth:`next_distribution`, so
+        a backend that overrides only that serves batches unchanged; a remote
+        backend overrides it to send the batch as one request."""
+        for context, mask, _, top_k in asks:
+            _check_ask(context, mask, top_k)
+        return [_ask(self, *ask) for ask in asks]
+
     def close(self) -> None:
         """Release what the backend holds open, such as a connection; the
         next ask may open it again. A local backend holds nothing."""
@@ -236,11 +255,15 @@ def next_distribution(
     ``ValueError`` on a negative ``top_k`` or one given with a mask.
     """
     ids = context.ids if isinstance(context, TokenSeq) else tuple(context)
-    if not ids:
+    _check_ask(ids, mask, top_k)
+    return _ask(backend, ids, mask, query, top_k)
+
+
+def _check_ask(context: Sequence[int], mask: LogitMask | None, top_k: int | None) -> None:
+    if not context:
         raise EmptyInput("context must be non-empty")
     if top_k is not None and (top_k < 0 or mask is not None):
         raise ValueError("top_k must be >= 0 and cannot be combined with a mask")
-    return _ask(backend, ids, mask, query, top_k)
 
 
 def _ask(backend, context, mask, query, top_k) -> Distribution:
@@ -386,8 +409,11 @@ class SeededBackend(ModelBackend):
 class CountingBackend(ModelBackend):
     """Wrapper counting forward passes and stamping the first response.
 
+    Every ask counts as one pass, whether it came alone or in a batch.
     ``first_response`` is the ``time.monotonic()`` instant the first call
-    returned, the start of the harness's ranking time.
+    returned, the start of the harness's ranking time. A batch returns as a
+    whole, so for a strategy that asks in one batch (``beam_all``) that
+    instant is when the last of its answers arrived.
     """
 
     def __init__(self, inner: ModelBackend):
@@ -401,6 +427,13 @@ class CountingBackend(ModelBackend):
         if self.first_response is None:
             self.first_response = time.monotonic()
         return result
+
+    def next_distributions(self, asks: Sequence[Ask]) -> list[Distribution]:
+        self.calls += len(asks)
+        results = self.inner.next_distributions(asks)
+        if self.first_response is None:
+            self.first_response = time.monotonic()
+        return results
 
     def close(self) -> None:
         self.inner.close()

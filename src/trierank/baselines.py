@@ -111,10 +111,14 @@ def beam_all(
 ) -> list[BeamAllScore]:
     """Score every candidate by its full-path log-probability, length-penalized.
 
-    Visits each internal node exactly once, reads the raw (unmasked) child
-    probabilities there, and accumulates per-candidate sums; ``penalized`` is
-    ``sum / length**alpha``, where a penalty too large for a float counts as
-    infinite: a finite sum's score is then -0.0 and a -inf sum's stays -inf.
+    Asks once at each internal node for the raw (unmasked) child
+    probabilities there, and accumulates per-candidate sums. No ask depends
+    on an answer, so all of them go to ``backend.next_distributions`` as one
+    batch: one request over a remote backend that takes batches, one ask
+    after another on a local one, and one forward pass per ask either way.
+    ``penalized`` is ``sum / length**alpha``, where a penalty too large for a
+    float counts as infinite: a finite sum's score is then -0.0 and a -inf
+    sum's stays -inf.
     Sorted descending, ties by candidate order. ``alpha`` is finite and >= 0.
     """
     if not 0 <= alpha < math.inf:
@@ -123,21 +127,31 @@ def beam_all(
     # penalty an exact int power whose cost grows with alpha. Past the float
     # range every length above 1 overflows, as it does at the float maximum.
     alpha = float(min(alpha, sys.float_info.max))
-    sums: dict[int, float] = {}
     # Pre-order with children in ascending token-id order fixes the backend's
-    # request sequence; an explicit stack keeps deep trees off the recursion limit.
-    stack = [(tree.root, prefix.ids, 0.0)]
+    # request sequence; an explicit stack keeps deep trees off the recursion
+    # limit. Only internal nodes are asked about, so only they are stacked.
+    nodes, asks = [], []
+    stack = [(tree.root, prefix.ids)] if tree.root.children else []
     while stack:
-        node, context, acc = stack.pop()
-        if node.is_leaf:
-            continue
-        dist = next_distribution(backend, context, query=node.children.keys(), top_k=0)
-        for t in sorted(node.children, reverse=True):
+        node, context = stack.pop()
+        descending = sorted(node.children, reverse=True)
+        nodes.append((node, descending))
+        asks.append((context, None, node.children.keys(), 0))
+        for t in descending:
+            if node.children[t].children:
+                stack.append((node.children[t], context + (t,)))
+    sums: dict[int, float] = {}
+    # Replays the walk: each internal node pops its path's sum as it popped its context.
+    path_sums = [0.0]
+    for (node, descending), dist in zip(nodes, backend.next_distributions(asks)):
+        acc = path_sums.pop()
+        for t in descending:
             child = node.children[t]
             total = acc + _log(dist.probs[t])
             if child.terminal_for is not None:
                 sums[child.terminal_for] = total
-            stack.append((child, context + (t,), total))
+            if child.children:
+                path_sums.append(total)
 
     scores = []
     for cand, ident in enumerate(tree.identifiers):

@@ -12,6 +12,9 @@ propagates only when no strategy completed.
 
 Ranking time is measured from the first backend response to the end of the
 decode; total time adds a fixed first-token constant (75 ms by default).
+``beamall`` asks in one batch (``ModelBackend.next_distributions``), whose
+first response is its last answer, so its ranking time covers only the
+scoring after the batch.
 With ``runs > 1`` each point is timed across repeated runs and confidence
 intervals use Student's t per point, averaged across the dataset.
 """

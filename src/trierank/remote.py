@@ -31,11 +31,31 @@ probable ids, ties to the smallest id, and ``argmax`` is ``null`` at
 :func:`~trierank.backend.top_k_answer`. A ``top_k`` that is not a
 non-negative integer, or one sent with ``allowed``, is a bad request.
 
+Every 200 reply carries the :data:`BATCH_HEADER`, which says that the server
+also takes a batch of asks in one body::
+
+    {"shared": [int, ...],          # leading tokens common to every context
+     "asks": [{"context_tokens": [int, ...], "allowed": ..., "query": ...,
+               "top_k": int}, ...]}  # each ask's context minus ``shared``
+
+and answers ``{"answers": [answer, ...]}``, one answer of the form above per
+ask, in order. Each ask is checked as a single body is, with ``shared``
+joined in front of its ``context_tokens``; an ask carrying ``context_text``
+is a bad request. The server answers the asks one by one, calling its backend
+once per ask as it does for single bodies; the first ask whose context is
+too long answers the whole batch with 413, and a backend fault with 500. A
+client sends two or more asks as a batch only when the last 200 reply
+carried the header, and one request per ask otherwise
+(:meth:`RemoteBackend.next_distributions`). ``beam_all`` asks that way,
+because none of its asks depends on another's answer.
+
 The client reads a 200 answer only if it fits its ask (:func:`_read_answer`):
 every key a distinct decimal id, every value a finite non-negative number,
 ``argmax`` an integer it reports (inside the mask for a masked ask) or
 ``null`` for an unmasked ``top_k=0`` ask alone, and every ``query`` id and
-explicit mask id reported. Any other answer raises :class:`BackendUnavailable`.
+explicit mask id reported. A batch's ``answers`` must be a list with one
+answer per ask, each checked against its ask. Any other answer raises
+:class:`BackendUnavailable`.
 
 Connections are HTTP/1.1 and persistent. A :class:`RemoteBackend` asks on an
 idle connection or a new one, so its threads share no socket. The server sets
@@ -61,10 +81,12 @@ Both directions stay compatible with v1 and v2. A v1 server ignores
 ``top_k`` and answers with the whole table, which holds every id the client
 reads, and its HTTP/1.0 replies close each connection. A v1 client sends no
 ``top_k`` and gets the whole table. Neither v1 nor v2 servers send the
-termination header, so they only ever get expanded masks, and v1 and v2
-clients only send them. A v2 server refuses a non-list ``allowed``, so a
-client that names the class to a server swapped for an older one gets an
-error, never a ranking over its explicit ids alone.
+termination or the batch header, so they only ever get expanded masks and
+one ask per request, and v1 and v2 clients only send those. A v2 server
+refuses a non-list ``allowed``, so a client that names the class to a server
+swapped for an older one gets an error, never a ranking over its explicit
+ids alone. A batch body has no top-level ``context_tokens``, so such a
+server refuses it with 400 too, never answering one distribution for it.
 
 :func:`serve_backend` wraps any local backend in a threaded HTTP server,
 optionally with a vocabulary, so that ``context_text`` requests can be
@@ -80,13 +102,15 @@ import http.client
 import json
 import logging
 import math
+import os.path
 import socket
 import threading
 import urllib.parse
 from functools import lru_cache, partial
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from typing import Sequence
 
-from .backend import Distribution, LogitMask, ModelBackend, top_k_answer
+from .backend import Ask, Distribution, LogitMask, ModelBackend, _check_ask, top_k_answer
 from .errors import BackendUnavailable, ContextTooLong, EmptyInput
 from .vocab import Vocabulary, greedy_tokenize
 
@@ -98,6 +122,9 @@ names the termination class about 6.5 KB."""
 TERMINATION_HEADER = "Trierank-Termination"
 """The reply header that names the termination class of a server's vocabulary."""
 
+BATCH_HEADER = "Trierank-Batch"
+"""The reply header by which a server says that it answers batch bodies."""
+
 IDLE_TIMEOUT_S = 30.0
 """Seconds a server-side connection may wait for its next request."""
 
@@ -107,6 +134,9 @@ def _refuse_constant(name: str):
 
 # Parses answers with NaN and Infinity refused; one decoder serves every call.
 _ANSWER_DECODER = json.JSONDecoder(parse_constant=_refuse_constant)
+
+# What parsing or checking an answer that does not fit its ask raises.
+_MALFORMED = (AttributeError, KeyError, OverflowError, RecursionError, TypeError, ValueError)
 
 
 @lru_cache(maxsize=8)
@@ -127,6 +157,8 @@ class RemoteBackend(ModelBackend):
 
     A mask travels with its termination class named when the last 200 reply
     named the same class in its :data:`TERMINATION_HEADER`, and expanded
+    otherwise. A batch of asks travels as one request when the last 200
+    reply carried the :data:`BATCH_HEADER`, and as one request per ask
     otherwise.
     """
 
@@ -146,23 +178,55 @@ class RemoteBackend(ModelBackend):
         self._idle: list[http.client.HTTPConnection] = []
         # The termination class the last 200 reply named; ``None`` if it named none.
         self._termination: str | None = None
+        # Whether the last 200 reply said that the server answers batch bodies.
+        self._batches = False
 
     def next_distribution(self, context, allowed=None, query=None, top_k=None) -> Distribution:
         query = sorted(query) if query else None
-        payload = {
+        data = self._request(self._wire_ask(context, allowed, query, top_k))
+        try:
+            return _read_answer(_decode(data), allowed, query or (), top_k)
+        except _MALFORMED as exc:
+            raise BackendUnavailable(f"malformed response from {self.endpoint}: {exc}") from None
+
+    def next_distributions(self, asks: Sequence[Ask]) -> list[Distribution]:
+        """One request for two or more asks if the server takes batches, else
+        one request per ask. The batch body sends the contexts' common leading
+        tokens once, as ``shared``, and each ask with the rest of its context."""
+        if not self._batches or len(asks) < 2:
+            return super().next_distributions(asks)
+        for context, mask, _, top_k in asks:
+            _check_ask(context, mask, top_k)
+        contexts = [list(context) for context, *_ in asks]
+        # ``commonprefix`` compares any sequences element by element, not only paths.
+        shared = os.path.commonprefix(contexts)
+        queries = [sorted(query) if query else None for _, _, query, _ in asks]
+        wire = [
+            self._wire_ask(context[len(shared) :], mask, query, top_k)
+            for context, query, (_, mask, _, top_k) in zip(contexts, queries, asks)
+        ]
+        data = self._request({"shared": shared, "asks": wire})
+        try:
+            answers = _decode(data)["answers"]
+            if type(answers) is not list or len(answers) != len(asks):
+                raise ValueError(f"{len(asks)} asks need a list of as many answers")
+            return [
+                _read_answer(answer, mask, query or (), top_k)
+                for answer, query, (_, mask, _, top_k) in zip(answers, queries, asks)
+            ]
+        except _MALFORMED as exc:
+            raise BackendUnavailable(f"malformed response from {self.endpoint}: {exc}") from None
+
+    def _wire_ask(self, context, mask: LogitMask | None, query, top_k: int | None) -> dict:
+        """The request fields of one ask; ``query`` is sorted or ``None``."""
+        ask = {
             "context_tokens": list(context),
-            "allowed": None if allowed is None else self._wire_mask(allowed),
+            "allowed": None if mask is None else self._wire_mask(mask),
             "query": query,
         }
         if top_k is not None:
-            payload["top_k"] = top_k
-        data = self._request(payload)
-        try:
-            return _read_answer(data, allowed, query or (), top_k)
-        except (
-            AttributeError, KeyError, OverflowError, RecursionError, TypeError, ValueError
-        ) as exc:
-            raise BackendUnavailable(f"malformed response from {self.endpoint}: {exc}") from None
+            ask["top_k"] = top_k
+        return ask
 
     def _wire_mask(self, mask: LogitMask):
         """The ``allowed`` field for ``mask``: its explicit ids and the name of
@@ -189,6 +253,7 @@ class RemoteBackend(ModelBackend):
         if response.status != 200:
             raise BackendUnavailable(f"HTTP {response.status} from {self.endpoint}")
         self._termination = response.getheader(TERMINATION_HEADER)
+        self._batches = response.getheader(BATCH_HEADER) is not None
         return data
 
     def _post(self, body: bytes) -> tuple[http.client.HTTPResponse, bytes]:
@@ -212,14 +277,18 @@ class RemoteBackend(ModelBackend):
         return exchanged
 
 
-def _read_answer(data: bytes, mask: LogitMask | None, query, top_k: int | None) -> Distribution:
-    """The distribution a 200 answer holds. Raises ``ValueError`` (or a lookup,
-    type or recursion error) unless every key is a distinct decimal id and
+def _decode(data: bytes):
+    """The parsed body of a 200 reply; raises ``ValueError`` or ``RecursionError``."""
+    return _ANSWER_DECODER.decode(data.decode("utf-8"))
+
+
+def _read_answer(body, mask: LogitMask | None, query, top_k: int | None) -> Distribution:
+    """The distribution one parsed answer holds. Raises ``ValueError`` (or a
+    lookup or type error) unless every key is a distinct decimal id and
     every value a finite, non-negative number, and the answer reports what the
     ask reads: a non-null ``argmax`` among the ids, inside ``mask`` for a
     masked ask, and every explicit mask id and ``query`` id. Only an unmasked
     ``top_k=0`` ask may get a null ``argmax``."""
-    body = _ANSWER_DECODER.decode(data.decode("utf-8"))
     table, argmax = body["probs"], body["argmax"]
     # Each check runs in C over the whole answer. ``int()`` alone would take
     # "1_0" and " 1", and ``float()`` would take true and "0.5".
@@ -290,6 +359,36 @@ def _parse_ask(payload, vocab: Vocabulary | None):
     return context, mask, query, top_k
 
 
+def _parse_batch(payload: dict, vocab: Vocabulary | None) -> list:
+    """The parsed asks of a batch body, each with ``shared`` joined to its
+    ``context_tokens``; raises on any field that does not validate."""
+    shared, asks = payload["shared"], payload["asks"]
+    if type(shared) is not list or any(type(t) is not int for t in shared):
+        raise ValueError("shared must be a list of integers")
+    if type(asks) is not list:
+        raise ValueError("asks must be a list")
+    parsed = []
+    for ask in asks:
+        if type(ask) is not dict or type(ask.get("context_tokens")) is not list:
+            raise ValueError("each batch ask needs a context_tokens list")
+        if "context_text" in ask:
+            raise ValueError("a batch ask carries no context_text")
+        parsed.append(_parse_ask({**ask, "context_tokens": shared + ask["context_tokens"]}, vocab))
+    return parsed
+
+
+def _answer(backend: ModelBackend, context, mask, query, top_k) -> dict:
+    """The answer object to one parsed ask. An unmasked ``top_k`` ask gets the
+    whole table, trimmed as a local ask trims it."""
+    if top_k is None:
+        dist = backend.next_distribution(context, mask, query)
+        probs, argmax = dist.probs, dist.argmax
+    else:
+        table = backend.next_distribution(context, None, None).probs
+        probs, argmax = top_k_answer(table, query or (), top_k)
+    return {"probs": {str(t): p for t, p in probs.items()}, "argmax": argmax}
+
+
 def _make_handler(backend: ModelBackend, vocab: Vocabulary | None):
     class Handler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
@@ -316,18 +415,13 @@ def _make_handler(backend: ModelBackend, vocab: Vocabulary | None):
                 return
             try:
                 payload = json.loads(self.rfile.read(length).decode("utf-8"))
-                context, mask, query, top_k = _parse_ask(payload, vocab)
+                batch = type(payload) is dict and "asks" in payload
+                asks = _parse_batch(payload, vocab) if batch else [_parse_ask(payload, vocab)]
             except Exception as exc:  # any body that does not parse or validate
                 self._reply(400, {"error": "bad_request", "detail": str(exc)})
                 return
             try:
-                if top_k is None:
-                    dist = backend.next_distribution(context, mask, query)
-                    probs, argmax = dist.probs, dist.argmax
-                else:
-                    # The whole table, trimmed as a local ask trims it.
-                    table = backend.next_distribution(context, None, None).probs
-                    probs, argmax = top_k_answer(table, query or (), top_k)
+                answers = [_answer(backend, *ask) for ask in asks]
             except ContextTooLong as exc:
                 self._reply(413, {"error": "context_too_long", "detail": str(exc)})
                 return
@@ -335,7 +429,7 @@ def _make_handler(backend: ModelBackend, vocab: Vocabulary | None):
                 logging.getLogger(__name__).exception("backend failed to answer a request")
                 self._reply(500, {"error": "internal"})
                 return
-            self._reply(200, {"probs": {str(t): p for t, p in probs.items()}, "argmax": argmax})
+            self._reply(200, {"answers": answers} if batch else answers[0])
 
         def _reply(self, code: int, body: dict):
             data = json.dumps(body).encode("utf-8")
@@ -346,8 +440,10 @@ def _make_handler(backend: ModelBackend, vocab: Vocabulary | None):
                 # The body may be unread or unparsed: read no next request after it.
                 self.send_header("Connection", "close")
                 self.close_connection = True
-            elif vocab is not None:
-                self.send_header(TERMINATION_HEADER, _class_tag(vocab.termination_ids()))
+            else:
+                self.send_header(BATCH_HEADER, "1")
+                if vocab is not None:
+                    self.send_header(TERMINATION_HEADER, _class_tag(vocab.termination_ids()))
             self.end_headers()
             self.wfile.write(data)
 

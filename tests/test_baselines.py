@@ -11,8 +11,11 @@ import pytest
 from trierank import (
     CountingBackend,
     DecodeConfig,
+    LogitMask,
     MockBackend,
+    ModelBackend,
     SeededBackend,
+    TokenSeq,
     Vocabulary,
     beam_all,
     beam_search,
@@ -25,7 +28,8 @@ from trierank import (
     next_distribution,
     rank,
 )
-from trierank.remote import RemoteBackend, serve_backend
+from trierank.errors import ContextTooLong, EmptyInput
+from trierank.remote import BATCH_HEADER, RemoteBackend, serve_backend
 from trierank.vocab import identifier_prefix
 
 from support import random_model
@@ -342,11 +346,25 @@ class TestBeamAll:
 
 
 class _AskOnlyGuard(CountingBackend):
-    """Fails on any unmasked call that asks for the whole table."""
+    """Fails on any unmasked ask, alone or in a batch, that asks for the whole
+    table; ``checked`` counts the asks it checked."""
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.checked = 0
+
+    def _check(self, allowed, top_k):
+        assert allowed is not None or top_k is not None, "unmasked call without top_k"
+        self.checked += 1
 
     def next_distribution(self, context, allowed=None, query=None, top_k=None):
-        assert allowed is not None or top_k is not None, "unmasked call without top_k"
+        self._check(allowed, top_k)
         return super().next_distribution(context, allowed, query, top_k)
+
+    def next_distributions(self, asks):
+        for _, allowed, _, top_k in asks:
+            self._check(allowed, top_k)
+        return super().next_distributions(asks)
 
 
 def _models(seeds):
@@ -389,15 +407,92 @@ def _loop_greedy_complete(backend, prefix, vocab, max_steps):
 
 
 class _AskRecorder(CountingBackend):
-    """Records every ask as ``(context, top_k)``."""
+    """Records every ask, alone or in a batch, as ``(context, query, top_k)``
+    with the ``query`` ids ascending."""
 
     def __init__(self, inner):
         super().__init__(inner)
         self.asks = []
 
+    def _record(self, context, query, top_k):
+        self.asks.append((tuple(context), tuple(sorted(query or ())), top_k))
+
     def next_distribution(self, context, allowed=None, query=None, top_k=None):
-        self.asks.append((tuple(context), top_k))
+        self._record(context, query, top_k)
         return super().next_distribution(context, allowed, query, top_k)
+
+    def next_distributions(self, asks):
+        for context, _, query, top_k in asks:
+            self._record(context, query, top_k)
+        return super().next_distributions(asks)
+
+
+def _per_node_beam_all_sums(backend, tree, prefix):
+    """Each candidate's summed log-probability as ``beam_all`` computed it
+    before it batched: one ``next_distribution`` ask per internal node, in a
+    recursive pre-order walk with children in ascending token-id order."""
+    sums = {}
+
+    def visit(node, context, acc):
+        if node.is_leaf:
+            return
+        dist = next_distribution(backend, context, query=node.children.keys(), top_k=0)
+        for t in sorted(node.children):
+            p = dist.probs[t]
+            total = acc + (math.log(p) if p > 0.0 else float("-inf"))
+            if node.children[t].terminal_for is not None:
+                sums[node.children[t].terminal_for] = total
+            visit(node.children[t], context + (t,), total)
+
+    visit(tree.root, prefix.ids, 0.0)
+    return sums
+
+
+def test_beam_all_asks_and_sums_as_the_per_node_walk():
+    """One ask per internal node, the same asks in the same order as a
+    per-node pre-order walk, and bitwise the same sums; on the fixtures and
+    on ``SeededBackend(2000, s)`` for three seeds."""
+    for vocab, backend, points in _models([0, 1, 2]):
+        for prefix, candidates in points:
+            tree = build_tree(candidates, vocab)
+            got, expected = _AskRecorder(backend), _AskRecorder(backend)
+            scores = beam_all(got, tree, prefix)
+            assert {s.candidate: s.sum_logprob for s in scores} == _per_node_beam_all_sums(
+                expected, tree, prefix
+            )
+            assert got.asks == expected.asks and got.calls == len(got.asks)
+            assert len(got.asks) == sum(1 for node in tree.walk() if node.children)
+
+
+class _NoAnswers(ModelBackend):
+    def next_distribution(self, context, allowed=None, query=None, top_k=None):
+        raise AssertionError("an ask was answered")
+
+
+class TestBatchedAsks:
+    def test_every_ask_is_checked_before_any_is_answered(self):
+        good = ((1,), None, (2,), 0)
+        mask = LogitMask(frozenset({2}))
+        bad = [((), None, None, None), ((1,), None, None, -1), ((1,), mask, None, 1)]
+        for ask, error in zip(bad, [EmptyInput, ValueError, ValueError]):
+            with pytest.raises(error):
+                _NoAnswers().next_distributions([good, ask])
+            counting = CountingBackend(_NoAnswers())
+            with pytest.raises(error):
+                counting.next_distributions([good, ask])
+            assert counting.first_response is None
+
+    def test_beam_all_on_an_empty_prefix_asks_nothing(self, worked_vocab, worked_candidates):
+        tree = build_tree(worked_candidates, worked_vocab)
+        with pytest.raises(EmptyInput):
+            beam_all(_NoAnswers(), tree, TokenSeq((), ()))
+
+    def test_a_context_window_inside_the_tree_raises(self, worked_vocab, worked_prefix):
+        """The root's ask fits a 2-token window, the ask under ``add`` does not."""
+        backend = MockBackend(default={worked_vocab.id("x"): 1.0}, max_context=2)
+        tree = build_tree(["add", "addAll", "clear"], worked_vocab)
+        with pytest.raises(ContextTooLong, match="context of 3 tokens exceeds 2"):
+            beam_all(CountingBackend(backend), tree, worked_prefix)
 
 
 def test_greedy_complete_asks_and_returns_what_the_argmax_loop_did():
@@ -437,7 +532,7 @@ class TestAskOnly:
                 _baseline_results(guard, vocab, prefix, candidates)
                 beam_search(guard, prefix, vocab, width=1)
                 rank(guard, prefix, candidates, vocab, DecodeConfig(constrained=False))
-                assert guard.calls > 0
+                assert guard.calls > 0 and guard.checked == guard.calls
 
     def test_remote_answers_give_the_local_results(self, connect):
         """The server trims an unmasked ask to the ``query`` ids and the
@@ -463,6 +558,10 @@ class TestAskOnly:
 
             class V1Handler(server.RequestHandlerClass):
                 protocol_version = "HTTP/1.0"
+
+                def send_header(self, keyword, value):
+                    if keyword != BATCH_HEADER:  # a v1 server takes no batches
+                        super().send_header(keyword, value)
 
                 def do_POST(self):
                     payload = json.loads(self.rfile.read(int(self.headers["Content-Length"])))

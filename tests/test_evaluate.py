@@ -7,6 +7,7 @@ import pytest
 import trierank.evaluate
 from trierank import (
     CompletionPoint,
+    MockBackend,
     ModelBackend,
     Vocabulary,
     greedy_tokenize,
@@ -25,7 +26,7 @@ from trierank.evaluate import (
 from trierank.ranking import DecodeConfig
 from trierank.remote import serve_backend
 
-from support import count_connections
+from support import count_connections, record_bodies
 
 FIXTURES = "fixtures"
 
@@ -237,6 +238,34 @@ class TestHarnessBehavior:
         assert set(report.strategies) == set(report.details) == {"treeranker"}
         assert report.config["strategies"] == ["treeranker"]
         assert report.warnings == ["strategy greedy aborted: context of 4 tokens exceeds 3"]
+
+    @pytest.mark.parametrize(
+        "over, cause",
+        [
+            ("local", "context of 3 tokens exceeds 2"),
+            ("remote", "server rejected context: Request Entity Too Large"),
+        ],
+        ids=["local", "remote"],
+    )
+    def test_beamall_aborted_inside_its_batch_becomes_warning(self, over, cause, worked_vocab, connect):
+        """The root's ask fits a 2-token window, the ask under ``add`` does
+        not; over the wire the whole batch is one request, answered 413."""
+        backend = MockBackend(default={worked_vocab.id("x"): 1.0}, max_context=2)
+        candidates = ["add", "addAll", "clear"]
+        point = CompletionPoint("p", "x.", candidates, "addAll", baselines={"ide": candidates})
+        server, url = serve_backend(backend, worked_vocab)
+        bodies = record_bodies(server)
+        try:
+            if over == "remote":
+                backend = connect(url)
+                backend.next_distribution([worked_vocab.id("x")])  # a reply names batches
+            report = evaluate(["ide-baseline:ide", "beamall"], [point], backend, worked_vocab)
+        finally:
+            server.shutdown()
+            server.server_close()
+        assert report.warnings == [f"strategy beamall aborted: {cause}"]
+        assert set(report.strategies) == {"ide-baseline:ide"}
+        assert [len(b.get("asks", [b])) for b in bodies] == ([1, 2] if over == "remote" else [])
 
     def test_all_aborted_raises(self, fixture_env, tight_backend):
         vocab, _, dataset = fixture_env

@@ -12,6 +12,7 @@ import pytest
 
 from trierank import (
     LogitMask,
+    TokenSeq,
     beam_all,
     MockBackend,
     ModelBackend,
@@ -24,9 +25,10 @@ from trierank import (
     next_distribution,
     rank,
 )
-from trierank.errors import BackendUnavailable, ContextTooLong
+from trierank.errors import BackendUnavailable, ContextTooLong, EmptyInput
 from trierank.ranking import DecodeConfig, build_allowed_set
 from trierank.remote import (
+    BATCH_HEADER,
     MAX_BODY_BYTES,
     TERMINATION_HEADER,
     RemoteBackend,
@@ -817,6 +819,220 @@ def test_a_three_argument_backend_serves_top_k_asks(connect):
         for top_k in (0, 2):
             expected = next_distribution(local, [4, 5], query=[7], top_k=top_k)
             assert next_distribution(remote, [4, 5], query=[7], top_k=top_k) == expected
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+# Batches: all of a ``beam_all``'s asks in one request.
+
+
+def strip_batches(server) -> None:
+    """Make ``server`` reply without the batch header, as a v2 server does."""
+
+    class V2(server.RequestHandlerClass):
+        def send_header(self, keyword, value):
+            if keyword != BATCH_HEADER:
+                super().send_header(keyword, value)
+
+    server.RequestHandlerClass = V2
+
+
+def garble_batches(server, body: bytes) -> None:
+    """Make ``server`` answer every batch body with ``body`` under the batch
+    header; a single ask still gets its own answer."""
+
+    class Garbled(server.RequestHandlerClass):
+        def _reply(self, code, reply):
+            if "answers" not in reply:
+                super()._reply(code, reply)
+                return
+            self.send_response(code)
+            self.send_header(BATCH_HEADER, "1")
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+
+    server.RequestHandlerClass = Garbled
+
+
+@pytest.fixture
+def worked(worked_vocab, worked_backend, worked_prefix, worked_candidates):
+    """(vocab, local backend, prefix, tree, server, endpoint): the worked
+    example's two internal nodes, the root and ``add``, behind a server."""
+    server, url = serve_backend(worked_backend, worked_vocab)
+    tree = build_tree(worked_candidates, worked_vocab)
+    yield worked_vocab, worked_backend, worked_prefix, tree, server, url
+    server.shutdown()
+    server.server_close()
+
+
+def test_beam_all_is_one_request_once_a_reply_says_the_server_takes_batches(worked, connect):
+    """A fresh client has seen no reply, so its first ``beam_all`` asks one
+    node at a time; the next one sends every node's ask in one body, the
+    contexts' common prefix once, and the same asks."""
+    vocab, local, prefix, tree, server, url = worked
+    expected = beam_all(local, tree, prefix)
+    bodies = record_bodies(server)
+    remote = connect(url)
+    assert beam_all(remote, tree, prefix) == expected
+    assert len(bodies) == 2 and all("context_tokens" in b for b in bodies)
+    assert beam_all(remote, tree, prefix) == expected
+    assert len(bodies) == 3
+    batch = bodies[2]
+    assert batch.keys() == {"shared", "asks"} and batch["shared"] == list(prefix.ids)
+    joined = [{**a, "context_tokens": batch["shared"] + a["context_tokens"]} for a in batch["asks"]]
+    assert joined == bodies[:2]
+    assert [a["context_tokens"] for a in batch["asks"]] == [[], [vocab.id("add")]]
+
+
+@pytest.mark.parametrize("server_kind", ["v2", "garbled"])
+def test_a_server_without_the_batch_header_gets_one_request_per_ask(server_kind, worked, connect):
+    """A v2 server, or one whose replies carry no header at all, never sees a
+    batch body, and ``beam_all`` reads the same results from it."""
+    vocab, local, prefix, tree, server, url = worked
+    if server_kind == "v2":
+        strip_batches(server)
+    else:
+        table = {t: (t + 1) / 45 for t in range(vocab.size)}
+        local = MockBackend(default=table)
+        answer = {"probs": {str(t): p for t, p in table.items()}, "argmax": vocab.size - 1}
+        garble(server, json.dumps(answer).encode())
+    expected = beam_all(local, tree, prefix)
+    bodies = record_bodies(server)
+    remote = connect(url)
+    for _ in range(3):
+        assert beam_all(remote, tree, prefix) == expected
+    assert len(bodies) == 6 and all("context_tokens" in b for b in bodies)
+    assert not remote._batches
+
+
+def test_a_batch_body_is_answered_ask_by_ask(hosted):
+    vocab, _, _, url = hosted
+    dot, x = vocab.id("."), vocab.id("x")
+    asks = [
+        {"context_tokens": [], "allowed": None, "query": [2, 3], "top_k": 0},
+        {"context_tokens": [dot], "allowed": [2, 3], "query": None},
+        {"context_tokens": [x, dot], "allowed": None, "query": None, "top_k": 1},
+    ]
+    reply = post(url, {"shared": [x], "asks": asks})
+    singles = [post(url, {**a, "context_tokens": [x] + a["context_tokens"]}) for a in asks]
+    assert reply == {"answers": singles}
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        {"shared": [1], "asks": {"context_tokens": [0]}},
+        {"shared": [1], "asks": None},
+        {"shared": [1.0], "asks": [{"context_tokens": [0]}]},
+        {"shared": [True], "asks": [{"context_tokens": [0]}]},
+        {"shared": ["1"], "asks": [{"context_tokens": [0]}]},
+        {"shared": "1", "asks": [{"context_tokens": [0]}]},
+        {"shared": [None], "asks": [{"context_tokens": [0]}]},
+        {"asks": [{"context_tokens": [1]}]},
+        {"shared": [1], "asks": [{"context_tokens": [], "context_text": "x."}]},
+        {"shared": [], "asks": [{"context_text": "x."}]},
+        {"shared": [], "asks": [{"context_tokens": [1]}, {"context_tokens": []}]},
+        {"shared": [1], "asks": [[0]]},
+        {"shared": [1], "asks": [{"context_tokens": 0}]},
+        {"shared": [1], "asks": [{"context_tokens": [0], "top_k": -1}]},
+    ],
+    ids=[
+        "asks-an-object", "asks-null", "shared-fraction", "shared-true", "shared-string-id",
+        "shared-a-string", "shared-null-id", "no-shared", "context-text", "only-context-text",
+        "empty-joined-context", "ask-a-list", "tail-an-int", "bad-top-k",
+    ],
+)
+def test_a_malformed_batch_body_answers_400(hosted, body):
+    _, _, _, url = hosted
+    code, reply = post_raw(url, json.dumps(body).encode())
+    assert code == 400 and reply["error"] == "bad_request"
+
+
+@pytest.mark.parametrize(
+    "kind", ["too-few", "too-many", "missing-queried-id", "not-a-list", "null", "no-answers"]
+)
+def test_a_malformed_batch_answer_is_backend_error(kind, worked, connect):
+    vocab, _, prefix, tree, server, url = worked
+    root = {"probs": {str(vocab.id("add")): 0.6, str(vocab.id("clear")): 0.3}, "argmax": None}
+    body = {
+        "too-few": {"answers": [root]},
+        "too-many": {"answers": [root, root, root]},
+        "missing-queried-id": {"answers": [root, {"probs": {}, "argmax": None}]},
+        "not-a-list": {"answers": {"0": root}},
+        "null": {"answers": None},
+        "no-answers": root,
+    }[kind]
+    garble_batches(server, json.dumps(body).encode())
+    remote = connect(url)
+    beam_all(remote, tree, prefix)  # one ask at a time, answered
+    with pytest.raises(BackendUnavailable, match="malformed response"):
+        beam_all(remote, tree, prefix)
+
+
+def test_a_batch_with_a_context_past_the_window_raises_413(worked, connect):
+    """The root's ask fits a 2-token window, the ask under ``add`` does not."""
+    vocab, _, prefix, tree, _, _ = worked
+    local = MockBackend(default={vocab.id("x"): 1.0}, max_context=2)
+    server, url = serve_backend(local, vocab)
+    bodies = record_bodies(server)
+    try:
+        remote = connect(url)
+        next_distribution(remote, prefix)
+        with pytest.raises(ContextTooLong):
+            beam_all(remote, tree, prefix)
+        assert len(bodies) == 2 and len(bodies[1]["asks"]) == 2
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+def test_beam_all_on_an_empty_prefix_sends_nothing(worked, connect):
+    vocab, _, prefix, tree, server, url = worked
+    bodies = record_bodies(server)
+    fresh, warm = connect(url), connect(url)
+    next_distribution(warm, prefix)
+    for remote in (fresh, warm):
+        with pytest.raises(EmptyInput):
+            beam_all(remote, tree, TokenSeq((), ()))
+    assert len(bodies) == 1
+
+
+def test_a_backend_fault_inside_a_batch_answers_500(caplog, connect):
+    local = _Faulty(default={1: 0.6, 2: 0.4})
+    server, url = serve_backend(local)
+    asks = [([1], None, [2], 0), ([1, 13], None, [2], 0)]
+    try:
+        remote = connect(url)
+        next_distribution(remote, [1])
+        with caplog.at_level(logging.ERROR, logger="trierank.remote"):
+            with pytest.raises(BackendUnavailable, match="HTTP 500"):
+                remote.next_distributions(asks)
+        assert "model process died" in caplog.text
+        good = [([1], None, [2], 0), ([2, 1], None, [1], 1)]
+        assert remote.next_distributions(good) == local.next_distributions(good)
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+def test_remote_beam_all_equals_local_on_the_remote_2k_points(remote_2k, connect):
+    """On every seed-1 remote-2k point, one request per ``beam_all``."""
+    vocab, points = remote_2k
+    local = SeededBackend(vocab.size, 1)
+    server, url = serve_backend(local, vocab)
+    bodies = record_bodies(server)
+    try:
+        remote = connect(url)
+        next_distribution(remote, [0], top_k=0)
+        for point in points:
+            prefix = greedy_tokenize(point.prefix, vocab)
+            tree = build_tree(point.candidates, vocab)
+            sent = len(bodies)
+            assert beam_all(remote, tree, prefix) == beam_all(local, tree, prefix), point.id
+            assert len(bodies) == sent + 1
+            assert len(bodies[-1]["asks"]) == sum(1 for node in tree.walk() if node.children)
     finally:
         server.shutdown()
         server.server_close()
