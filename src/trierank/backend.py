@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import hashlib
 import heapq
+import inspect
 import json
 import math
 import random
@@ -164,9 +165,9 @@ def top_k_answer(
 ) -> tuple[dict[int, float], int | None]:
     """The unmasked ask-only answer: the ``query`` ids (0.0 outside ``table``),
     ascending, plus the ``top_k`` most probable ids, ties to the smallest id,
-    and the argmax, ``None`` at ``top_k=0``. The local path and the remote
-    server's trim both answer with this, so their floats and ties are the same
-    code."""
+    and the argmax, ``None`` at ``top_k=0``. A local ask and the trim that
+    :func:`_ask` applies for a backend without ``top_k`` both answer with this,
+    so their floats and ties are the same code."""
     # ``nlargest`` is stable: over ascending ids, ties go to the smallest.
     if not top_k:
         top = []
@@ -202,7 +203,8 @@ class ModelBackend:
         """Answer one ask (see :func:`next_distribution`): with ``allowed``, the
         masked step's ids; with ``top_k``, the ``query`` ids plus the ``top_k``
         most probable ids, and ``argmax`` ``None`` at ``top_k=0``; otherwise the
-        whole table. An override may report more than was asked, never less."""
+        whole table. An override may report more than was asked, never less,
+        and may leave out ``top_k``: :func:`_ask` then trims its whole table."""
         table = self.raw_distribution(context)
         query = sorted(query or ())
         if allowed is not None:
@@ -222,8 +224,11 @@ class ModelBackend:
         first, as :func:`next_distribution` checks it, so a bad one raises
         before any is answered; ``context`` is a sequence of token ids. This
         default answers them one by one through :meth:`next_distribution`, so
-        a backend that overrides only that serves batches unchanged; a remote
-        backend overrides it to send the batch as one request."""
+        a backend that overrides only that serves batches unchanged. A remote
+        backend overrides it to send the batch as one request, and a model
+        may override it to score the contexts, which often share a prefix, in
+        one pass: :func:`~trierank.remote.serve_backend` hands each request's
+        asks, one or a whole batch, to this method in one call."""
         for context, mask, _, top_k in asks:
             _check_ask(context, mask, top_k)
         return [_ask(self, *ask) for ask in asks]
@@ -267,11 +272,22 @@ def _check_ask(context: Sequence[int], mask: LogitMask | None, top_k: int | None
 
 
 def _ask(backend, context, mask, query, top_k) -> Distribution:
-    """Pass ``top_k`` on only when given, so a backend whose
-    ``next_distribution`` takes three arguments still serves masked asks."""
+    """Answer one checked ask through ``backend.next_distribution``. A backend
+    whose ``next_distribution`` takes no ``top_k`` (three arguments) is asked
+    without it: a ``top_k`` ask then reads its whole table, trimmed with
+    :func:`top_k_answer` as a local ask trims it."""
     if top_k is None:
         return backend.next_distribution(context, mask, query)
-    return backend.next_distribution(context, mask, query, top_k)
+    if _takes_top_k(type(backend)):
+        return backend.next_distribution(context, mask, query, top_k)
+    table = backend.next_distribution(context, None, None).probs
+    return Distribution(*top_k_answer(table, query or (), top_k))
+
+
+@lru_cache(maxsize=None)
+def _takes_top_k(cls: type) -> bool:
+    """Whether ``cls.next_distribution`` has a ``top_k`` parameter; read once per class."""
+    return "top_k" in inspect.signature(cls.next_distribution).parameters
 
 
 class MockBackend(ModelBackend):

@@ -24,12 +24,17 @@ Response::
 
     {"probs": {"<token id>": float, ...}, "argmax": int | null}
 
-An unmasked ask without ``top_k`` is answered with the whole table. With
-``top_k`` the answer holds only the ``query`` ids plus the ``top_k`` most
+The server asks its hosted backend the question it was asked, ``top_k``
+included: the asks of each request go to the backend's
+:meth:`~trierank.backend.ModelBackend.next_distributions` in one call, and the
+answer is what the backend reports. An unmasked ask without ``top_k`` gets the
+whole table. With ``top_k`` it gets the ``query`` ids plus the ``top_k`` most
 probable ids, ties to the smallest id, and ``argmax`` is ``null`` at
-``top_k=0``: the same floats a local ask returns, trimmed by the same
-:func:`~trierank.backend.top_k_answer`. A ``top_k`` that is not a
-non-negative integer, or one sent with ``allowed``, is a bad request.
+``top_k=0``: the same floats a local ask returns. A backend may report more
+than was asked, as a proxy to a v1 server does. A hosted backend whose
+``next_distribution`` takes no ``top_k`` reads its whole table, trimmed by
+:func:`~trierank.backend.top_k_answer`. A ``top_k`` that is not a non-negative
+integer, or one sent with ``allowed``, is a bad request.
 
 Every 200 reply carries the :data:`BATCH_HEADER`, which says that the server
 also takes a batch of asks in one body::
@@ -41,9 +46,10 @@ also takes a batch of asks in one body::
 and answers ``{"answers": [answer, ...]}``, one answer of the form above per
 ask, in order. Each ask is checked as a single body is, with ``shared``
 joined in front of its ``context_tokens``; an ask carrying ``context_text``
-is a bad request. The server answers the asks one by one, calling its backend
-once per ask as it does for single bodies; the first ask whose context is
-too long answers the whole batch with 413, and a backend fault with 500. A
+is a bad request. The server hands all of a batch's asks to its backend in
+one call, so a model can score their contexts, which share ``shared``, in one
+pass. A context too long for the backend answers the whole batch with 413,
+and any other backend fault with 500. A
 client sends two or more asks as a batch only when the last 200 reply
 carried the header, and one request per ask otherwise
 (:meth:`RemoteBackend.next_distributions`). ``beam_all`` asks that way,
@@ -110,7 +116,7 @@ from functools import lru_cache, partial
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Sequence
 
-from .backend import Ask, Distribution, LogitMask, ModelBackend, _check_ask, top_k_answer
+from .backend import Ask, Distribution, LogitMask, ModelBackend, _check_ask
 from .errors import BackendUnavailable, ContextTooLong, EmptyInput
 from .vocab import Vocabulary, greedy_tokenize
 
@@ -329,15 +335,20 @@ def _exchange(
         raise
 
 
-def _parse_ask(payload, vocab: Vocabulary | None):
-    """(context, mask, query, top_k) of a request body; raises on any field
-    that does not validate."""
+def _parse_ask(payload, vocab: Vocabulary | None, shared: list[int] | None = None):
+    """(context, mask, query, top_k) of a request body, or of one batch ask
+    whose checked ``shared`` tokens go in front of its ``context_tokens``;
+    raises on any field that does not validate."""
     context = payload.get("context_tokens")
     if context is None:
         text = payload.get("context_text")
         if text is None or vocab is None:
             raise ValueError("no usable context in request")
         context = list(greedy_tokenize(text, vocab).ids)
+    else:
+        _check_ids(context)
+        if shared:
+            context = shared + context
     if not context:
         raise EmptyInput("context must be non-empty")
     allowed, query, top_k = payload.get("allowed"), payload.get("query"), payload.get("top_k")
@@ -348,10 +359,10 @@ def _parse_ask(payload, vocab: Vocabulary | None):
         if vocab is None or allowed["termination"] != _class_tag(vocab.termination_ids()):
             raise ValueError("the mask names a termination class this server does not hold")
         termination, allowed = vocab.termination_ids(), allowed["ids"]
-    for ids in (context, allowed if masked else [], [] if query is None else query):
-        # ``int()`` would turn 1.9, true and "1" into ids that were never sent.
-        if type(ids) is not list or any(type(t) is not int for t in ids):
-            raise ValueError("token ids must be lists of integers")
+    if masked:
+        _check_ids(allowed)
+    if query is not None:
+        _check_ids(query)
     mask = LogitMask(frozenset(allowed), termination) if masked else None
     query = query or None
     if top_k is not None and (type(top_k) is not int or top_k < 0 or mask is not None):
@@ -359,12 +370,19 @@ def _parse_ask(payload, vocab: Vocabulary | None):
     return context, mask, query, top_k
 
 
+def _check_ids(ids) -> None:
+    """Raise unless ``ids`` is a list of JSON integers. The check runs in C:
+    ``int()`` would turn 1.9, true and "1" into ids that were never sent."""
+    if type(ids) is not list or not {int}.issuperset(map(type, ids)):
+        raise ValueError("token ids must be lists of integers")
+
+
 def _parse_batch(payload: dict, vocab: Vocabulary | None) -> list:
     """The parsed asks of a batch body, each with ``shared`` joined to its
-    ``context_tokens``; raises on any field that does not validate."""
+    ``context_tokens``; ``shared`` and each ask's own tokens are checked once,
+    before they are joined. Raises on any field that does not validate."""
     shared, asks = payload["shared"], payload["asks"]
-    if type(shared) is not list or any(type(t) is not int for t in shared):
-        raise ValueError("shared must be a list of integers")
+    _check_ids(shared)
     if type(asks) is not list:
         raise ValueError("asks must be a list")
     parsed = []
@@ -373,20 +391,13 @@ def _parse_batch(payload: dict, vocab: Vocabulary | None) -> list:
             raise ValueError("each batch ask needs a context_tokens list")
         if "context_text" in ask:
             raise ValueError("a batch ask carries no context_text")
-        parsed.append(_parse_ask({**ask, "context_tokens": shared + ask["context_tokens"]}, vocab))
+        parsed.append(_parse_ask(ask, vocab, shared))
     return parsed
 
 
-def _answer(backend: ModelBackend, context, mask, query, top_k) -> dict:
-    """The answer object to one parsed ask. An unmasked ``top_k`` ask gets the
-    whole table, trimmed as a local ask trims it."""
-    if top_k is None:
-        dist = backend.next_distribution(context, mask, query)
-        probs, argmax = dist.probs, dist.argmax
-    else:
-        table = backend.next_distribution(context, None, None).probs
-        probs, argmax = top_k_answer(table, query or (), top_k)
-    return {"probs": {str(t): p for t, p in probs.items()}, "argmax": argmax}
+def _answer(dist: Distribution) -> dict:
+    """The answer object for one distribution."""
+    return {"probs": {str(t): p for t, p in dist.probs.items()}, "argmax": dist.argmax}
 
 
 def _make_handler(backend: ModelBackend, vocab: Vocabulary | None):
@@ -421,7 +432,7 @@ def _make_handler(backend: ModelBackend, vocab: Vocabulary | None):
                 self._reply(400, {"error": "bad_request", "detail": str(exc)})
                 return
             try:
-                answers = [_answer(backend, *ask) for ask in asks]
+                answers = list(map(_answer, backend.next_distributions(asks)))
             except ContextTooLong as exc:
                 self._reply(413, {"error": "context_too_long", "detail": str(exc)})
                 return

@@ -14,6 +14,8 @@ from trierank import (
     LogitMask,
     TokenSeq,
     beam_all,
+    beam_search,
+    greedy_complete,
     MockBackend,
     ModelBackend,
     SeededBackend,
@@ -811,14 +813,73 @@ class _ThreeArgument(ModelBackend):
         return self.inner.next_distribution(context, allowed, query)
 
 
-def test_a_three_argument_backend_serves_top_k_asks(connect):
-    local = SeededBackend(30, seed=2)
+def test_a_three_argument_backend_serves_top_k_asks(
+    worked_vocab, worked_prefix, worked_candidates, connect
+):
+    """Locally and hosted, a backend whose ``next_distribution`` takes no
+    ``top_k`` answers ``top_k`` asks, and every reference strategy, as the
+    backend it wraps does."""
+    vocab, prefix = worked_vocab, worked_prefix
+    tree = build_tree(worked_candidates, vocab)
+    local = SeededBackend(vocab.size, seed=2)
     server, url = serve_backend(_ThreeArgument(local))
     try:
+        for backend in (_ThreeArgument(local), connect(url)):
+            for top_k in (0, 2):
+                expected = next_distribution(local, [4, 5], query=[7], top_k=top_k)
+                assert next_distribution(backend, [4, 5], query=[7], top_k=top_k) == expected
+            assert beam_search(backend, prefix, vocab, 3) == beam_search(local, prefix, vocab, 3)
+            assert greedy_complete(backend, prefix, vocab) == greedy_complete(local, prefix, vocab)
+            assert beam_all(backend, tree, prefix) == beam_all(local, tree, prefix)
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+class _AskOnly(SeededBackend):
+    """A hosted backend that refuses to build a whole table, and records the
+    contexts of each ``next_distributions`` call."""
+
+    def __init__(self, vocab_size: int, seed: int):
+        super().__init__(vocab_size, seed)
+        self.batches: list[list[list[int]]] = []
+
+    def next_distribution(self, context, allowed=None, query=None, top_k=None):
+        if allowed is None and top_k is None:
+            raise RuntimeError("a whole table was asked for")
+        return super().next_distribution(context, allowed, query, top_k)
+
+    def next_distributions(self, asks):
+        self.batches.append([list(context) for context, *_ in asks])
+        return super().next_distributions(asks)
+
+
+def test_the_server_passes_top_k_to_its_backend(worked, connect):
+    """``beam_all``, one ask at a time and in one batch, and ``beam_search``
+    never make the hosted backend build a whole table."""
+    vocab, _, prefix, tree, _, _ = worked
+    local = SeededBackend(vocab.size, seed=3)
+    server, url = serve_backend(_AskOnly(vocab.size, seed=3), vocab)
+    try:
         remote = connect(url)
-        for top_k in (0, 2):
-            expected = next_distribution(local, [4, 5], query=[7], top_k=top_k)
-            assert next_distribution(remote, [4, 5], query=[7], top_k=top_k) == expected
+        for _ in range(2):
+            assert beam_all(remote, tree, prefix) == beam_all(local, tree, prefix)
+        assert beam_search(remote, prefix, vocab, 3) == beam_search(local, prefix, vocab, 3)
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+def test_the_server_hands_a_batch_to_its_backend_in_one_call(worked, connect):
+    vocab, _, prefix, tree, _, _ = worked
+    local, hosted = _AskOnly(vocab.size, seed=3), _AskOnly(vocab.size, seed=3)
+    server, url = serve_backend(hosted, vocab)
+    try:
+        remote = connect(url)
+        next_distribution(remote, prefix, top_k=0)  # its reply says the server takes batches
+        assert beam_all(remote, tree, prefix) == beam_all(local, tree, prefix)
+        (asked,) = local.batches
+        assert len(asked) == 2 and hosted.batches == [[list(prefix.ids)], asked]
     finally:
         server.shutdown()
         server.server_close()
@@ -936,12 +997,16 @@ def test_a_batch_body_is_answered_ask_by_ask(hosted):
         {"shared": [], "asks": [{"context_tokens": [1]}, {"context_tokens": []}]},
         {"shared": [1], "asks": [[0]]},
         {"shared": [1], "asks": [{"context_tokens": 0}]},
+        {"shared": [1], "asks": [{"context_tokens": [0, True]}]},
+        {"shared": [1], "asks": [{"context_tokens": [1.0]}]},
+        {"shared": [1], "asks": [{"context_tokens": ["1"]}]},
         {"shared": [1], "asks": [{"context_tokens": [0], "top_k": -1}]},
     ],
     ids=[
         "asks-an-object", "asks-null", "shared-fraction", "shared-true", "shared-string-id",
         "shared-a-string", "shared-null-id", "no-shared", "context-text", "only-context-text",
-        "empty-joined-context", "ask-a-list", "tail-an-int", "bad-top-k",
+        "empty-joined-context", "ask-a-list", "tail-an-int", "tail-true", "tail-fraction",
+        "tail-string-id", "bad-top-k",
     ],
 )
 def test_a_malformed_batch_body_answers_400(hosted, body):
